@@ -26,7 +26,7 @@ from .parallel import (
     solve_block_parallel,
     solve_reduction_parallel,
 )
-from .serial import Trajectory, solve_serial, step_corrector, step_predictor
+from .serial import Trajectory, solve_serial
 from .systems import (
     HindmarshRoseParams,
     rhs_constant,
@@ -54,8 +54,6 @@ __all__ = [
     "corrector_weight_c",
     "precompute_weights",
     "solve_serial",
-    "step_predictor",
-    "step_corrector",
     "make_partition",
     "owner",
     "idle_fraction",

@@ -1,6 +1,6 @@
 """Single-threaded BLAS context shared by all solve loops.
 
-The history sums are many small-to-medium matvec calls; letting the BLAS
+The history sums are many small-to-medium matrix products; letting the BLAS
 spawn its own threads makes timings erratic, breaks run-to-run bitwise
 reproducibility guarantees across machines with different pool sizes, and is
 unsafe to combine with fork-based workers.  Every solve therefore runs under
@@ -20,7 +20,10 @@ try:
     def single_threaded_blas():
         return _controller.limit(limits=1)
 
-except ImportError:  # pragma: no cover - threadpoolctl is a hard dependency
+except ImportError:
+    # threadpoolctl is declared but may be absent.  The BLAS then keeps its
+    # own thread count; a solve whose process CPU time exceeds its wall time
+    # shows that the BLAS is using threads.
 
     def single_threaded_blas():
         return contextlib.nullcontext()

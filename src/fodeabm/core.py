@@ -34,11 +34,13 @@ RhsFunction = Callable[[float, np.ndarray], "np.ndarray | tuple | list"]
 class SolverStepError(RuntimeError):
     """A time step produced a non-finite value or a failing rhs evaluation.
 
-    Carries the failing step index ``step`` and grid time ``t``.
+    Carries the failing step index ``step``, grid time ``t`` and the bare
+    ``reason``.
     """
 
     def __init__(self, message: str, step: int, t: float):
         super().__init__(f"{message} (step {step}, t={t:.17g})")
+        self.reason = message
         self.step = step
         self.t = t
 
@@ -50,11 +52,12 @@ class StrategyTimeoutError(RuntimeError):
 def _all_finite(vec: np.ndarray) -> bool:
     """Fast non-finite detection for small vectors.
 
-    The sum of finite values is only non-finite on overflow, so a finite sum
-    proves the vector finite; the rare non-finite sum is confirmed with the
-    exact elementwise check.
+    A non-finite entry makes the vector's dot product with itself non-finite,
+    so a finite product proves the vector finite; a non-finite one (also
+    reached when a square overflows) is confirmed with the exact elementwise
+    check.
     """
-    if math.isfinite(vec.sum()):
+    if math.isfinite(vec @ vec):
         return True
     return bool(np.isfinite(vec).all())
 

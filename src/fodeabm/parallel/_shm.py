@@ -4,7 +4,8 @@ Workers are long-lived processes forked from the solving process.  They
 communicate through a single anonymous shared mmap carved into numpy views:
 monotonic int64 counters act as the message channels (a counter advancing
 past n publishes the slot contents for step n), and float64 regions hold the
-trajectory prefix, the weight tables and the per-step partial sums.
+rhs history, the states and the per-step partial sums.  Read-only data such
+as the weight table is inherited through fork instead.
 
 Counter protocol: the data for a step is always written *before* the counter
 store that announces it, and every counter has a single writer at any time.
@@ -31,8 +32,10 @@ MSG_LEN = 2
 
 _CACHE_LINE = 64
 _MSG_BYTES = 512
+_SPIN_MASK = 255  # spin iterations between slow-path checks
 
 DEFAULT_WATCHDOG_S = 60.0
+RING = 256  # partial-sum slots per sender; senders may lead the consumer by this many steps
 
 
 class _Abort(Exception):
@@ -136,6 +139,31 @@ def spin_tick(
         raise _Abort()
     if waited_iters > 1 << 11:  # past the microsecond-scale waits of a healthy run
         time.sleep(0 if waited_iters < 1 << 20 else 5e-5)
+
+
+def wait_for(
+    ctrl: np.ndarray,
+    msgbuf: np.ndarray,
+    timeout_s: float,
+    counters: np.ndarray,
+    i: int,
+    target: int,
+    label: str,
+) -> None:
+    """Spin until ``counters[i] >= target``: the receive side of the protocol.
+
+    Raises :class:`_Abort` on the shared error flag, and reports a watchdog
+    error after ``timeout_s`` seconds without the awaited value (``math.inf``
+    waits for as long as the error flag stays clear).
+    """
+    it = 0
+    deadline = 0.0
+    while counters[i] < target:
+        it += 1
+        if not it & _SPIN_MASK:
+            if deadline == 0.0:
+                deadline = time.monotonic() + timeout_s
+            spin_tick(ctrl, msgbuf, deadline, it, label)
 
 
 def fork_processes(target, worker_ids: Sequence[int]) -> list:

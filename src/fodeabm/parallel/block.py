@@ -2,12 +2,12 @@
 
 Each worker owns a contiguous block of steps.  During step n the owner of n
 assembles the full history sums: every worker below the owner computes the
-weighted sum over its own block and sends it up (one message per phase), the
-owner adds its local range, applies the predictor and corrector, and
-publishes y_{n+1} / f_{n+1} before step n+1 starts.  Workers above the owner
-are idle until the iteration reaches their block; lower workers re-scan
-their whole block each step because the weights shift with n, so total work
-stays O(N^2) by construction.
+fused (predictor, corrector) product over its own block and sends it up (one
+message per step), the owner adds its local range and runs the shared PECE
+assembly, and publishes y_{n+1} / f_{n+1} before step n+1 starts.  Workers
+above the owner are idle until the iteration reaches their block; lower
+workers re-scan their whole block each step because the weights shift with
+n, so total work stays O(N^2) by construction.
 
 The MPI send/receive pairs of the original scheme become slots in shared
 memory guarded by monotonic counters: a sender bumping ``sent[w]`` past n is
@@ -18,27 +18,19 @@ is unchanged.
 
 from __future__ import annotations
 
-import math
+import functools
 import time
 
 import numpy as np
 
 from .._threads import single_threaded_blas
-from ..core import (
-    FractionalProblem,
-    GridSpec,
-    _all_finite,
-    precompute_weights,
-)
-from ..serial import Trajectory
+from ..core import FractionalProblem, GridSpec, SolverStepError
+from ..serial import PeceStep, Trajectory
 from . import _shm
-from ._shm import DEFAULT_WATCHDOG_S, ERR, SharedArena, _Abort
+from ._shm import DEFAULT_WATCHDOG_S, ERR, RING, SharedArena, _Abort
 from .partition import make_partition
 
 __all__ = ["solve_block_parallel"]
-
-_RING = 256        # per-sender slots; senders may lead the owner by this many steps
-_SPIN_MASK = 255   # spin iterations between slow-path checks
 
 
 def solve_block_parallel(
@@ -54,25 +46,13 @@ def solve_block_parallel(
     With ``n_workers=1`` the result is bitwise identical to the serial
     solver.  ``stats``, when given, receives per-worker instrumentation:
     ``idle_steps`` (steps spent before the iteration reached the worker's
-    block) and ``partial_sums_sent`` (messages pushed to owners).
+    block) and ``partial_sums_sent`` (partial sums pushed to owners, two per
+    message).
     """
     N = grid.n_steps
     d = problem.dim
-    if not grid.spans(problem.t_end):
-        raise ValueError(
-            f"grid (h={grid.h!r}, N={N}) does not span t_end={problem.t_end!r}"
-        )
     plan = make_partition(N, n_workers)
     P = plan.n_workers
-
-    table = precompute_weights(problem.alpha, N)
-    h = grid.h
-    ha = h ** problem.alpha
-    ig = 1.0 / math.gamma(problem.alpha + 2.0)
-    y0v = problem.y0
-    rhs = problem.rhs
-
-    f00 = problem.eval_rhs0()
 
     arena = SharedArena(
         _shm.arena_size(
@@ -81,8 +61,7 @@ def solve_block_parallel(
             512,                        # error message
             8 * (N + 1) * d,            # states
             8 * d * (N + 1),            # rhs cache
-            8 * 2 * (N + 1),            # reversed weights
-            8 * P * _RING * 2 * d,      # partial-sum slots
+            8 * P * RING * d * 2,       # partial-sum slots
             8 * 2 * P,                  # instrumentation
         )
     )
@@ -90,25 +69,15 @@ def solve_block_parallel(
     done_step = arena.counters(1)       # last fully published step
     sent = arena.counters(P)            # sender progress, one per worker
     msgbuf = arena.bytes_region(512)
-    Y = arena.f64((N + 1, d))
-    fT = arena.f64((d, N + 1))
-    br = arena.f64((N + 1,))
-    ar = arena.f64((N + 1,))
-    slots = arena.f64((P, _RING, 2, d))
+    step = PeceStep(problem, grid, arena.f64((N + 1, d)), arena.f64((d, N + 1)))
+    slots = arena.f64((P, RING, d, 2))
     stat_idle = arena.int64(P)
     stat_msgs = arena.int64(P)
-
-    br[:] = table.b[::-1]
-    ar[:] = table.a[::-1]
-    c = table.c
-    Y[0] = y0v
-    fT[:, 0] = f00
     done_step[0] = -1
+    wait = functools.partial(_shm.wait_for, ctrl, msgbuf, watchdog_s)
 
     def worker(w: int) -> None:
         lo, hi = plan.blocks[w]
-        fbuf = np.empty(d)
-        f0 = fT[:, 0].copy()
         sent_count = 0
         try:
             with single_threaded_blas():
@@ -116,82 +85,30 @@ def solve_block_parallel(
                 stat_idle[w] = min(lo, N)
                 # owner phase
                 for n in range(lo, hi):
-                    t1 = (n + 1) * h
                     if n == lo:
-                        it, wd = 0, 0.0
-                        while done_step[0] < n - 1:
-                            it += 1
-                            if not it & _SPIN_MASK:
-                                if wd == 0.0:
-                                    wd = time.monotonic() + watchdog_s
-                                _shm.spin_tick(ctrl, msgbuf, wd, it, "published rows")
+                        wait(done_step, 0, n - 1, "published rows")
                     elif ctrl[ERR] != 0:
                         raise _Abort()
                     # local range first: it overlaps with the senders' work
-                    local = np.dot(fT[:, lo : n + 1], br[N - n + lo : N + 1])
-                    ring = n % _RING
+                    S = step.history(n, lo, n + 1)
+                    ring = n % RING
                     for w2 in range(w):
-                        it, wd = 0, 0.0
-                        while sent[w2] <= n:
-                            it += 1
-                            if not it & _SPIN_MASK:
-                                if wd == 0.0:
-                                    wd = time.monotonic() + watchdog_s
-                                _shm.spin_tick(ctrl, msgbuf, wd, it, f"partials from worker {w2}")
-                    # ascending-worker combination, owner's local range last
-                    if w == 0:
-                        yP = local
-                    else:
-                        yP = slots[0, ring, 0].copy()
-                        for w2 in range(1, w):
-                            yP += slots[w2, ring, 0]
-                        yP += local
-                    yP *= ha
-                    yP += y0v
+                        wait(sent, w2, n + 1, "partials from a lower block")
+                    if w:
+                        S += slots[:w, ring].sum(axis=0)
                     try:
-                        fbuf[:] = rhs(t1, yP)
-                    except (ArithmeticError, ValueError) as exc:
-                        _shm.report_error(ctrl, msgbuf, 2, n, f"rhs evaluation failed: {exc}")
+                        step.advance(n, S)
+                    except SolverStepError as exc:
+                        _shm.report_error(ctrl, msgbuf, 1, exc.step, exc.reason)
                         raise _Abort()
-                    if not _all_finite(fbuf):
-                        _shm.report_error(ctrl, msgbuf, 1, n, "rhs returned a non-finite value")
-                        raise _Abort()
-                    y1 = c[n] * f0
-                    for w2 in range(w):
-                        y1 += slots[w2, ring, 1]
-                    lo2 = max(lo, 1)
-                    if lo2 < n + 1:
-                        y1 += np.dot(fT[:, lo2 : n + 1], ar[N - n + lo2 : N + 1])
-                    y1 += ig * fbuf
-                    y1 *= ha
-                    y1 += y0v
-                    try:
-                        fbuf[:] = rhs(t1, y1)
-                    except (ArithmeticError, ValueError) as exc:
-                        _shm.report_error(ctrl, msgbuf, 2, n, f"rhs evaluation failed: {exc}")
-                        raise _Abort()
-                    if not _all_finite(fbuf):
-                        _shm.report_error(ctrl, msgbuf, 1, n, "rhs returned a non-finite value")
-                        raise _Abort()
-                    Y[n + 1] = y1
-                    fT[:, n + 1] = fbuf
                     done_step[0] = n
                 # sender phase: this block feeds every later owner
                 if lo < hi:
-                    lo2 = max(lo, 1)
                     for n in range(hi, N):
                         if ctrl[ERR] != 0:
                             raise _Abort()
-                        it, wd = 0, 0.0
-                        while n - done_step[0] > _RING - 2:
-                            it += 1
-                            if not it & _SPIN_MASK:
-                                if wd == 0.0:
-                                    wd = time.monotonic() + watchdog_s
-                                _shm.spin_tick(ctrl, msgbuf, wd, it, "ring space")
-                        ring = n % _RING
-                        slots[w, ring, 0] = np.dot(fT[:, lo:hi], br[N - n + lo : N - n + hi])
-                        slots[w, ring, 1] = np.dot(fT[:, lo2:hi], ar[N - n + lo2 : N - n + hi])
+                        wait(done_step, 0, n - RING + 2, "ring space")
+                        slots[w, n % RING] = step.history(n, lo, hi)
                         sent[w] = n + 1
                         sent_count += 2
         except _Abort:
@@ -224,13 +141,11 @@ def solve_block_parallel(
             _shm.shutdown(procs, ctrl, msgbuf)
 
     if ctrl[ERR] != 0:
-        _shm.raise_shared_error(ctrl, msgbuf, h)
+        _shm.raise_shared_error(ctrl, msgbuf, grid.h)
 
     if stats is not None:
         stats["idle_steps"] = np.array(stat_idle)
         stats["partial_sums_sent"] = np.array(stat_msgs)
         stats["plan"] = plan
 
-    states = np.array(Y)
-    f_cache = np.ascontiguousarray(np.array(fT).T)
-    return Trajectory(grid=grid, states=states, f_cache=f_cache)
+    return step.trajectory()

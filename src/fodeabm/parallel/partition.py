@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["PartitionPlan", "PartialSum", "make_partition", "owner", "idle_fraction"]
+__all__ = ["PartitionPlan", "make_partition", "owner", "idle_fraction"]
 
 
 @dataclass(frozen=True)
@@ -29,26 +27,6 @@ class PartitionPlan:
     n_workers: int
     block_size: int
     blocks: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class PartialSum:
-    """One message of the gather protocol: a worker's weighted block sum.
-
-    The engines move these through shared-memory slots rather than object
-    queues, but the record is the unit of accounting either way: worker
-    ``worker`` contributes ``value`` to the history sum of step ``step``.
-    """
-
-    worker: int
-    step: int
-    value: np.ndarray
-
-    def __post_init__(self):
-        value = np.asarray(self.value, dtype=np.float64)
-        if not np.isfinite(value).all():
-            raise ValueError("partial sums must be finite")
-        object.__setattr__(self, "value", value)
 
 
 def make_partition(n_steps: int, n_workers: int) -> PartitionPlan:

@@ -1,139 +1,64 @@
 """Chunked parallel-reduction solver.
 
-The history sum of step n is split into fixed-width chunks whose boundaries
-depend only on (n, chunk): chunk j covers k in [j*chunk, (j+1)*chunk), and
-the corrector interior uses the same tiling with k = 0 carved out (its f_0
-term carries the first-node weight and is applied by the coordinator).
-Chunks are summed internally in ascending k and combined over chunk indices
-by a deterministic pairwise tree (per-span subtrees folded in ascending span
-order), so a given (problem, N, workers, chunk) configuration is bitwise
-reproducible run to run.  When one chunk covers the whole history range the
-contraction is the very same call the serial solver makes, which keeps the
-single-chunk run bitwise identical to it.
+The history of step n is tiled into fixed-width chunks: chunk j covers k in
+[j*chunk, (j+1)*chunk), so step n has m = n // chunk + 1 chunks and only the
+newest one, which holds k = n, is incomplete.  The m chunks are split into
+contiguous spans, one per worker, each reduced by one fused (predictor,
+corrector) product:
 
-Workers take contiguous spans of chunk indices and publish one reduced
-partial per phase; the coordinator (worker 0, in the calling process) folds
-the partials, applies predictor and corrector, and publishes the accepted
-state.  A fixed number of chunks shifts from the coordinator's span to the
-helpers to pay for that assembly work; the shift depends only on the chunk
-width, so results stay scheduling-independent.
+- the coordinator (worker 0, in the calling process) keeps the newest span,
+  which always contains at least the newest chunk;
+- the helpers take the older spans in ascending order.  Every term of an
+  older span is final one step before it is needed, so, like the block
+  engine's senders, helpers write their partials through a ring and run at
+  least one step ahead of the coordinator.
 
-Implementation note: the reversed weight tables carry `chunk` zeros past
-their logical end and the shared rhs cache is zero-filled beyond the
-computed prefix, so the batched per-chunk contraction can always run at full
-chunk width; the padding terms are exact zeros and do not perturb the sums.
+The coordinator adds the helpers' partials in ascending span order to its own
+and runs the shared PECE assembly.  Span boundaries depend only on (n, chunk,
+workers), so a configuration is bitwise reproducible run to run.  When the
+coordinator's span is the whole history (one worker, or one chunk per step)
+its product is the very call the serial solver makes, which keeps the run
+bitwise identical to it.  The coordinator cedes ``_BIAS_TERMS`` history
+terms of its even share to the helpers to pay for the assembly; the
+ceded count depends only on the chunk width.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import time
 
 import numpy as np
 
 from .._threads import single_threaded_blas
-from ..core import (
-    FractionalProblem,
-    GridSpec,
-    SolverStepError,
-    _all_finite,
-    precompute_weights,
-)
-from ..serial import Trajectory
+from ..core import FractionalProblem, GridSpec
+from ..serial import PeceStep, Trajectory
 from . import _shm
-from ._shm import DEFAULT_WATCHDOG_S, ERR, SharedArena, _Abort
+from ._shm import DEFAULT_WATCHDOG_S, ERR, RING, SharedArena, _Abort
 
 __all__ = ["solve_reduction_parallel"]
 
-_SPIN_MASK = 255
-_BIAS_TERMS = 4096  # history terms ceded by the coordinator to other workers
+_BIAS_TERMS = 4096  # history terms ceded by the coordinator to the helpers
 
 
 def _spans(m: int, workers: int, bias: int) -> list[tuple[int, int]]:
-    """Deterministic split of m chunks into contiguous per-worker spans."""
-    q, r = divmod(m, workers)
-    sizes = [q + (1 if w < r else 0) for w in range(workers)]
-    if workers > 1 and bias > 0 and sizes[0] > 0:
-        ceded = min(bias, sizes[0])
-        sizes[0] -= ceded
-        for i in range(ceded):
-            sizes[1 + i % (workers - 1)] += 1
-    spans = []
-    j = 0
-    for s in sizes:
-        spans.append((j, j + s))
-        j += s
-    return spans
+    """Chunk spans [j0, j1) of a step with m chunks, one per worker.
 
-
-class _SpanBuffers:
-    """Per-phase scratch: chunk-sum leaves plus tree ping-pong space."""
-
-    def __init__(self, dim: int, capacity: int):
-        self.leaves = np.empty((dim, capacity))
-        self.scratch_a = np.empty((dim, capacity))
-        self.scratch_b = np.empty((dim, capacity))
-
-
-def _tree_fold(leaves: np.ndarray, bufs: _SpanBuffers, count: int) -> np.ndarray:
-    """Balanced pairwise combination of `count` leaf columns."""
-    if count == 1:
-        return leaves[:, 0]
-    cur = leaves
-    a, b = bufs.scratch_a, bufs.scratch_b
-    m = count
-    while m > 1:
-        half = m >> 1
-        np.add(cur[:, 0 : 2 * half : 2], cur[:, 1 : 2 * half : 2], out=a[:, :half])
-        if m & 1:
-            a[:, half] = cur[:, m - 1]
-            m = half + 1
-        else:
-            m = half
-        cur = a
-        a, b = b, a
-    return cur[:, 0]
-
-
-def _span_partial(
-    fT: np.ndarray,
-    wrev_pad: np.ndarray,
-    N: int,
-    n: int,
-    first_k: int,
-    chunk: int,
-    j0: int,
-    j1: int,
-    m: int,
-    bufs: _SpanBuffers,
-) -> np.ndarray:
-    """Reduce the chunks [j0, j1) of step n's history sum to one vector.
-
-    ``first_k`` is 0 for the predictor and 1 for the corrector interior; it
-    only affects the first chunk.  A single-chunk range uses the plain dot
-    the serial solver uses; otherwise every chunk is one row of a batched
-    matvec running at full chunk width over the zero-padded tails.
+    Entry 0 is the coordinator's: the newest chunks, its even share less up
+    to ``bias`` chunks, and never fewer than one.  The helpers split the
+    older chunks evenly in ascending order.
     """
-    d = fT.shape[0]
-    if m == 1:
-        # the serial solver's own contraction, bit for bit
-        return np.dot(fT[:, first_k : n + 1], wrev_pad[N - n + first_k : N + 1])
-    leaves = bufs.leaves
-    cnt = 0
-    jm = j0
-    if first_k == 1 and j0 == 0:
-        # first corrector chunk excludes k = 0 (owned by the assembler)
-        leaves[:, 0] = np.dot(fT[:, 1:chunk], wrev_pad[N - n + 1 : N - n + chunk])
-        cnt = 1
-        jm = 1
-    if j1 > jm:
-        mm = j1 - jm
-        k0 = jm * chunk
-        W = wrev_pad[N - n + k0 : N - n + k0 + mm * chunk].reshape(mm, chunk, 1)
-        F3 = fT[:, k0 : k0 + mm * chunk].reshape(d, mm, 1, chunk)
-        leaves[:, cnt : cnt + mm] = np.matmul(F3, W)[:, :, 0, 0]
-        cnt += mm
-    return _tree_fold(leaves, bufs, cnt)
+    if workers == 1:
+        return [(0, m)]
+    own = max(1, -(-m // workers) - bias)
+    q, r = divmod(m - own, workers - 1)
+    spans = [(m - own, m)]
+    j = 0
+    for w in range(workers - 1):
+        size = q + (w < r)
+        spans.append((j, j + size))
+        j += size
+    return spans
 
 
 def solve_reduction_parallel(
@@ -148,15 +73,11 @@ def solve_reduction_parallel(
     """Solve with chunked history reduction across ``n_workers`` processes.
 
     The calling process acts as worker 0 and coordinator; ``n_workers - 1``
-    helper processes are forked.  ``chunk`` of at least N makes every step a
-    single chunk, which is bitwise identical to :func:`solve_serial`.
+    helper processes are forked.  ``chunk`` of at least N, or a single
+    worker, is bitwise identical to :func:`solve_serial`.
     """
     N = grid.n_steps
     d = problem.dim
-    if not grid.spans(problem.t_end):
-        raise ValueError(
-            f"grid (h={grid.h!r}, N={N}) does not span t_end={problem.t_end!r}"
-        )
     n_workers = int(n_workers)
     if not 1 <= n_workers <= N:
         raise ValueError(f"n_workers must lie in [1, {N}], got {n_workers}")
@@ -166,189 +87,84 @@ def solve_reduction_parallel(
     P = n_workers
     bias = round(_BIAS_TERMS / chunk)
 
-    table = precompute_weights(problem.alpha, N)
-    h = grid.h
-    ha = h ** problem.alpha
-    ig = 1.0 / math.gamma(problem.alpha + 2.0)
-    y0v = problem.y0
-    rhs = problem.rhs
-    f00 = problem.eval_rhs0()
-
-    cap = N // chunk + 3
-
     arena = SharedArena(
         _shm.arena_size(
-            8 * 8,
-            64 * (P + 1),
-            512,
-            8 * (N + 1) * d,
-            8 * d * (N + 1 + chunk),
-            8 * 2 * (N + 1 + chunk),
-            8 * P * 2 * d,
-            8 * P,
+            8 * 8,                      # control words
+            64 * (P + 1),               # counters
+            512,                        # error message
+            8 * d * (N + 1),            # rhs cache
+            8 * P * RING * d * 2,       # partial-sum slots
+            8 * P,                      # instrumentation
         )
     )
     ctrl = arena.int64(8)
-    go = arena.counters(1)
-    done = arena.counters(P)
+    done = arena.counters(1)            # last step whose f_{n+1} is published
+    sent = arena.counters(P)            # helper progress, one per worker
     msgbuf = arena.bytes_region(512)
-    Y = arena.f64((N + 1, d))
-    # mmap pages arrive zero-filled; columns past the computed prefix and the
-    # padded weight tails stay exact zeros, which the full-width chunk
-    # contraction relies on
-    fT = arena.f64((d, N + 1 + chunk))
-    br = arena.f64((N + 1 + chunk,))
-    ar = arena.f64((N + 1 + chunk,))
-    PP = arena.f64((P, 2, d))
+    step = PeceStep(problem, grid, fT=arena.f64((d, N + 1)))
+    slots = arena.f64((P, RING, d, 2))
     stat_msgs = arena.int64(P)
-
-    br[: N + 1] = table.b[::-1]
-    ar[: N + 1] = table.a[::-1]
-    c = table.c
-    Y[0] = y0v
-    fT[:, 0] = f00
-    go[0] = -1
-
-    spans_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def spans_for(m: int) -> list[tuple[int, int]]:
-        s = spans_cache.get(m)
-        if s is None:
-            s = spans_cache[m] = _spans(m, P, bias)
-        return s
+    done[0] = -1
+    wait = functools.partial(_shm.wait_for, ctrl, msgbuf, watchdog_s)
+    spans_for = functools.lru_cache(maxsize=None)(lambda m: _spans(m, P, bias))
 
     def helper(w: int) -> None:
-        bufs = _SpanBuffers(d, cap)
-        sent = 0
-        seen = 0
+        # helpers never time out on their own: they follow the coordinator's
+        # progress or its error flag
+        wait_inf = functools.partial(_shm.wait_for, ctrl, msgbuf, math.inf)
+        sent_count = 0
         try:
             with single_threaded_blas():
-                while True:
-                    it = 0
-                    while True:
-                        g = go[0]
-                        if g >= seen or g == -9:
-                            break
-                        it += 1
-                        if not it & _SPIN_MASK:
-                            # helpers never time out on their own: they follow
-                            # the coordinator's error flag or quit sentinel
-                            _shm.spin_tick(ctrl, msgbuf, math.inf, it, "next step")
-                    if g == -9:
-                        break
-                    n = int(g)
-                    m = n // chunk + 1  # chunk count of both phases (n >= 1)
-                    j0, j1 = spans_for(m)[w]
-                    if j1 > j0:
-                        PP[w, 0] = _span_partial(fT, br, N, n, 0, chunk, j0, j1, m, bufs)
-                        sent += 1
-                    done[w] = 2 * n + 1
-                    if n >= 1 and j1 > j0:
-                        PP[w, 1] = _span_partial(fT, ar, N, n, 1, chunk, j0, j1, m, bufs)
-                        sent += 1
-                    done[w] = 2 * n + 2
-                    seen = n + 1
+                for n in range(N):
+                    j0, j1 = spans_for(n // chunk + 1)[w]
+                    if j0 == j1:
+                        continue
+                    lo, hi = j0 * chunk, j1 * chunk
+                    # f_{hi-1} is published with step hi-2; the slot is free
+                    # once the coordinator has consumed step n - RING
+                    wait_inf(done, 0, max(hi - 2, n - RING + 2), "published rows")
+                    slots[w, n % RING] = step.history(n, lo, hi)
+                    sent[w] = n + 1
+                    sent_count += 2
         except _Abort:
             pass
         except Exception as exc:  # pragma: no cover - defensive
             _shm.report_error(ctrl, msgbuf, 2, -1, f"{type(exc).__name__}: {exc}")
         finally:
-            stat_msgs[w] = sent
+            stat_msgs[w] = sent_count
 
     procs = []
-    pred_bufs = _SpanBuffers(d, cap)
-    corr_bufs = _SpanBuffers(d, cap)
-    fbuf = np.empty(d)
-    f0 = fT[:, 0].copy()
-
     try:
         with single_threaded_blas():
             if P > 1:
                 procs = _shm.fork_processes(helper, range(1, P))
             for n in range(N):
-                t1 = (n + 1) * h
-                go[0] = n
-                m = n // chunk + 1
-                spans = spans_for(m)
-                j0, j1 = spans[0]
-                own_p = (
-                    _span_partial(fT, br, N, n, 0, chunk, j0, j1, m, pred_bufs)
-                    if j1 > j0
-                    else None
-                )
-                own_c = (
-                    _span_partial(fT, ar, N, n, 1, chunk, j0, j1, m, corr_bufs)
-                    if n >= 1 and j1 > j0
-                    else None
-                )
-                target = 2 * n + 1
+                spans = spans_for(n // chunk + 1)
+                S = step.history(n, spans[0][0] * chunk, n + 1)
+                ring = n % RING
                 for w in range(1, P):
-                    it, wd = 0, 0.0
-                    while done[w] < target:
-                        it += 1
-                        if not it & _SPIN_MASK:
-                            if wd == 0.0:
-                                wd = time.monotonic() + watchdog_s
-                            _shm.spin_tick(ctrl, msgbuf, wd, it, f"worker {w} predictor")
-                if ctrl[ERR] != 0:
-                    raise _Abort()
-                # ascending span order; worker 0 holds the lowest chunks
-                yP = own_p
-                for w in range(1, P):
-                    lo_w, hi_w = spans[w]
-                    if hi_w > lo_w:
-                        yP = PP[w, 0].copy() if yP is None else yP + PP[w, 0]
-                yP *= ha
-                yP += y0v
-                try:
-                    fbuf[:] = rhs(t1, yP)
-                except (ArithmeticError, ValueError) as exc:
-                    raise SolverStepError(f"rhs evaluation failed: {exc}", step=n, t=t1) from exc
-                if not _all_finite(fbuf):
-                    raise SolverStepError("rhs returned a non-finite value", step=n, t=t1)
-                target = 2 * n + 2
-                for w in range(1, P):
-                    it, wd = 0, 0.0
-                    while done[w] < target:
-                        it += 1
-                        if not it & _SPIN_MASK:
-                            if wd == 0.0:
-                                wd = time.monotonic() + watchdog_s
-                            _shm.spin_tick(ctrl, msgbuf, wd, it, f"worker {w} corrector")
-                y1 = c[n] * f0
-                if n >= 1:
-                    if own_c is not None:
-                        y1 += own_c
-                    for w in range(1, P):
-                        lo_w, hi_w = spans[w]
-                        if hi_w > lo_w:
-                            y1 += PP[w, 1]
-                y1 += ig * fbuf
-                y1 *= ha
-                y1 += y0v
-                try:
-                    fbuf[:] = rhs(t1, y1)
-                except (ArithmeticError, ValueError) as exc:
-                    raise SolverStepError(f"rhs evaluation failed: {exc}", step=n, t=t1) from exc
-                if not _all_finite(fbuf):
-                    raise SolverStepError("rhs returned a non-finite value", step=n, t=t1)
-                Y[n + 1] = y1
-                fT[:, n + 1] = fbuf
+                    j0, j1 = spans[w]
+                    if j1 > j0:
+                        wait(sent, w, n + 1, "helper partials")
+                        S += slots[w, ring]
+                step.advance(n, S)
+                done[0] = n
     except _Abort:
         pass
+    except BaseException:
+        # release helpers waiting for steps that will never be published
+        _shm.report_error(ctrl, msgbuf, 2, -1, "coordinator stopped")
+        raise
     finally:
-        go[0] = -9
         if procs:
             _shm.shutdown(procs, ctrl, msgbuf)
 
     if ctrl[ERR] != 0:
-        _shm.raise_shared_error(ctrl, msgbuf, h)
+        _shm.raise_shared_error(ctrl, msgbuf, grid.h)
 
     if stats is not None:
         stats["idle_steps"] = np.zeros(P, dtype=np.int64)
         stats["partial_sums_sent"] = np.array(stat_msgs)
         stats["chunk"] = chunk
 
-    states = np.array(Y)
-    f_cache = np.ascontiguousarray(np.array(fT[:, : N + 1]).T)
-    return Trajectory(grid=grid, states=states, f_cache=f_cache)
+    return step.trajectory()

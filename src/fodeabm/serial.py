@@ -1,4 +1,4 @@
-"""Sequential predictor-corrector solver; the reference for both parallel strategies.
+"""The PECE step shared by every strategy, and the sequential solver built on it.
 
 One step advances y_n -> y_{n+1} in PECE form:
 
@@ -8,9 +8,15 @@ One step advances y_n -> y_{n+1} in PECE form:
                                    + fP / Gamma(alpha+2))
     evaluate  f_{n+1} = f(t_{n+1}, y)
 
-The history sums run over every previous step (ascending k), which is what
-makes the total cost O(N^2).  ``f_cache`` keeps f at accepted states only;
-the predictor evaluation fP is transient.
+The history sums run over every previous step, which is what makes the total
+cost O(N^2).  Both sums read the same history f_0..f_n, so :class:`PeceStep`
+forms them as one (d x n+1) @ (n+1 x 2) product against the reversed b and a
+weights, scaled by h^alpha and stacked side by side.  Its corrector column
+weights f_0 with a_n, so the assembly adds h^alpha (c_n - a_n) f_0.  Any range
+of terms is then one product over both full columns, which lets the parallel
+engines split k = 0..n into ranges and add the partial products.
+``f_cache`` keeps f at accepted states only; the predictor evaluation fP is
+transient.
 """
 
 from __future__ import annotations
@@ -25,12 +31,11 @@ from .core import (
     FractionalProblem,
     GridSpec,
     SolverStepError,
-    WeightTable,
     _all_finite,
     precompute_weights,
 )
 
-__all__ = ["Trajectory", "step_predictor", "step_corrector", "solve_serial"]
+__all__ = ["Trajectory", "PeceStep", "solve_serial"]
 
 
 @dataclass(frozen=True)
@@ -64,51 +69,111 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _history_transposed(traj: Trajectory, n: int) -> np.ndarray:
-    """Rows 0..n of the rhs cache in (d, n+1) contiguous layout."""
-    if not 0 <= n < traj.grid.n_steps:
-        raise ValueError(f"step index n={n} outside [0, {traj.grid.n_steps})")
-    return np.ascontiguousarray(traj.f_cache[: n + 1].T)
+def _length(value) -> int:
+    """Number of values an rhs returned; 0 for a scalar."""
+    try:
+        return len(value)
+    except TypeError:
+        return 0
 
 
-def step_predictor(
-    problem: FractionalProblem, weights: WeightTable, traj: Trajectory, n: int
-) -> np.ndarray:
-    """Predicted state yP_{n+1} from the completed prefix y_0..y_n."""
-    fT = _history_transposed(traj, n)
-    N = weights.n_max
-    br = weights.b[::-1]
-    ha = traj.grid.h ** problem.alpha
-    S = np.dot(fT, np.ascontiguousarray(br[N - n : N + 1]))
-    return problem.y0 + ha * S
+class PeceStep:
+    """History kernel and step assembly over the states ``Y`` and history ``fT``.
 
+    ``Y`` is (N+1, d) and ``fT`` is (d, N+1); both are allocated unless given,
+    as the parallel engines give views of their shared memory.  Construction
+    stores y_0 and f_0.  Step n is ``advance(n, S)`` where S is
+    ``history(n, 0, n + 1)`` or the sum of ``history`` over ranges that
+    partition 0..n.
+    """
 
-def step_corrector(
-    problem: FractionalProblem,
-    weights: WeightTable,
-    traj: Trajectory,
-    n: int,
-    y_pred: np.ndarray,
-) -> np.ndarray:
-    """Corrected state y_{n+1} given a predicted state for t_{n+1}."""
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if not np.isfinite(y_pred).all():
-        raise SolverStepError("predicted state is non-finite", step=n, t=(n + 1) * traj.grid.h)
-    fT = _history_transposed(traj, n)
-    N = weights.n_max
-    ar = weights.a[::-1]
-    h = traj.grid.h
-    t1 = (n + 1) * h
-    ha = h ** problem.alpha
-    ig = 1.0 / math.gamma(problem.alpha + 2.0)
-    fP = np.asarray(problem.rhs(t1, y_pred), dtype=np.float64).reshape(-1)
-    if not np.isfinite(fP).all():
-        raise SolverStepError("rhs returned a non-finite value", step=n, t=t1)
-    acc = weights.c[n] * fT[:, 0]
-    if n >= 1:
-        acc += np.dot(fT[:, 1 : n + 1], np.ascontiguousarray(ar[N - n + 1 : N + 1]))
-    acc += ig * fP
-    return problem.y0 + ha * acc
+    def __init__(
+        self,
+        problem: FractionalProblem,
+        grid: GridSpec,
+        Y: np.ndarray | None = None,
+        fT: np.ndarray | None = None,
+    ):
+        if not grid.spans(problem.t_end):
+            raise ValueError(
+                f"grid (h={grid.h!r}, N={grid.n_steps}) does not span t_end={problem.t_end!r}"
+            )
+        N = grid.n_steps
+        d = problem.dim
+        table = precompute_weights(problem.alpha, N)
+        ha = grid.h ** problem.alpha
+        W = np.empty((2, N + 1))
+        W[0] = table.b[::-1]
+        W[1] = table.a[::-1]
+        W *= ha
+        # row N-n+k of WT is h^alpha (b_{n-k}, a_{n-k}); the transposed view
+        # of a row-major (2, N+1) array is the layout the BLAS reads fastest
+        self.WT = W.T
+        self.f0_weight = (ha * (table.c - table.a)).tolist()
+        self.fP_weight = ha / math.gamma(problem.alpha + 2.0)
+        self.grid = grid
+        self.N = N
+        self.dim = d
+        self.h = grid.h
+        self.y0_columns = np.column_stack((problem.y0, problem.y0))
+        self.rhs = problem.rhs
+        self.Y = np.empty((N + 1, d)) if Y is None else Y
+        self.fT = np.empty((d, N + 1)) if fT is None else fT
+        self.Y[0] = problem.y0
+        self.fT[:, 0] = problem.eval_rhs0()
+        self.f0 = self.fT[:, 0].copy()
+        self.fbuf = np.empty(d)
+
+    def history(self, n: int, lo: int, hi: int) -> np.ndarray:
+        """Step n's predictor and corrector sums over k in [lo, hi), times h^alpha.
+
+        Returns a (d, 2) array: column 0 the b-weighted, column 1 the
+        a-weighted sum.
+        """
+        o = self.N - n
+        return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
+
+    def _evaluate(self, n: int, t: float, y: np.ndarray) -> None:
+        """f(t, y) into ``fbuf``, checked for failure, length and finiteness."""
+        try:
+            value = self.rhs(t, y)
+            self.fbuf[:] = value
+        except (ArithmeticError, ValueError) as exc:
+            raise SolverStepError(f"rhs evaluation failed: {exc}", step=n, t=t) from exc
+        # the store above broadcasts a scalar or a single value to all d entries
+        if _length(value) != self.dim:
+            raise SolverStepError(
+                f"rhs returned {np.size(value)} values, expected {self.dim}", step=n, t=t
+            )
+        if not _all_finite(self.fbuf):
+            raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
+
+    def advance(self, n: int, S: np.ndarray) -> np.ndarray:
+        """Predict, evaluate, correct and evaluate step n from its sums S.
+
+        S is overwritten: column 0 with the predicted state, column 1 with
+        y_{n+1}.  Stores y_{n+1} and f_{n+1} and returns the predicted
+        state.  Raises :class:`SolverStepError` for step n if an rhs
+        evaluation raises an arithmetic or value error, returns other than
+        ``dim`` values, or is non-finite.
+        """
+        t1 = (n + 1) * self.h
+        S += self.y0_columns
+        yP = S[:, 0]
+        self._evaluate(n, t1, yP)
+        y1 = S[:, 1]
+        y1 += self.f0_weight[n] * self.f0
+        y1 += self.fP_weight * self.fbuf
+        self._evaluate(n, t1, y1)
+        self.Y[n + 1] = y1
+        self.fT[:, n + 1] = self.fbuf
+        return yP
+
+    def trajectory(self) -> Trajectory:
+        """Copies of the states and the rhs cache as a :class:`Trajectory`."""
+        return Trajectory(
+            grid=self.grid, states=np.array(self.Y), f_cache=np.ascontiguousarray(self.fT.T)
+        )
 
 
 def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:
@@ -116,61 +181,10 @@ def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:
 
     Deterministic: identical inputs give bitwise-identical trajectories.
     Raises :class:`SolverStepError` (with the failing step index and time) as
-    soon as any rhs evaluation produces a non-finite value.
+    soon as any rhs evaluation fails or produces a non-finite value.
     """
-    N = grid.n_steps
-    d = problem.dim
-    h = grid.h
-    alpha = problem.alpha
-    if not grid.spans(problem.t_end):
-        raise ValueError(
-            f"grid (h={grid.h!r}, N={N}) does not span t_end={problem.t_end!r}"
-        )
-
-    table = precompute_weights(alpha, N)
-    # reversed copies give contiguous forward slices: br[N-n:] == b_n..b_0
-    br = table.b[::-1].copy()
-    ar = table.a[::-1].copy()
-    c = table.c
-    ha = h ** alpha
-    ig = 1.0 / math.gamma(alpha + 2.0)
-
-    Y = np.empty((N + 1, d))
-    fT = np.empty((d, N + 1))
-    y0v = problem.y0
-    Y[0] = y0v
-    fT[:, 0] = problem.eval_rhs0()
-    f0 = fT[:, 0].copy()
-    fbuf = np.empty(d)
-    rhs = problem.rhs
-
-    n = 0
-    try:
-        with single_threaded_blas():
-            for n in range(N):
-                t1 = (n + 1) * h
-                # predicted state, built in place on the history-sum buffer
-                yP = np.dot(fT[:, : n + 1], br[N - n : N + 1])
-                yP *= ha
-                yP += y0v
-                fbuf[:] = rhs(t1, yP)
-                if not _all_finite(fbuf):
-                    raise SolverStepError("rhs returned a non-finite value", step=n, t=t1)
-                # corrected state: c_n f_0, then the interior history, then fP
-                y1 = c[n] * f0
-                if n >= 1:
-                    y1 += np.dot(fT[:, 1 : n + 1], ar[N - n + 1 : N + 1])
-                y1 += ig * fbuf
-                y1 *= ha
-                y1 += y0v
-                fbuf[:] = rhs(t1, y1)
-                if not _all_finite(fbuf):
-                    raise SolverStepError("rhs returned a non-finite value", step=n, t=t1)
-                Y[n + 1] = y1
-                fT[:, n + 1] = fbuf
-    except (ArithmeticError, ValueError) as exc:
-        raise SolverStepError(
-            f"rhs evaluation failed: {exc}", step=n, t=(n + 1) * h
-        ) from exc
-
-    return Trajectory(grid=grid, states=Y, f_cache=np.ascontiguousarray(fT.T))
+    step = PeceStep(problem, grid)
+    with single_threaded_blas():
+        for n in range(grid.n_steps):
+            step.advance(n, step.history(n, 0, n + 1))
+    return step.trajectory()

@@ -70,14 +70,6 @@ class TestPartition:
         assert idle_fraction(plan, 3) == pytest.approx(0.75)
         assert idle_fraction(make_partition(10, 1), 0) == 0.0
 
-    def test_partial_sum_record(self):
-        from fodeabm.parallel import PartialSum
-
-        ps = PartialSum(worker=1, step=5, value=[0.5, -2.0])
-        assert ps.value.shape == (2,)
-        with pytest.raises(ValueError):
-            PartialSum(worker=0, step=0, value=[float("nan")])
-
     def test_work_conservation_per_step(self):
         # at step n the senders below the owner cover their full blocks and
         # the owner covers [lo, n]; together that is exactly n+1 multiply-adds
@@ -218,8 +210,8 @@ class TestReductionStrategy:
         assert sup_rel_dev(got.states, ref.states) <= 1e-10
 
     def test_chunk_determinism_across_worker_counts(self):
-        # chunk boundaries and chunk sums depend only on (n, chunk); only the
-        # span combine shape varies with P, so worker counts agree to roundoff
+        # span boundaries depend on (n, chunk, P), so each worker count sums
+        # the same terms in its own grouping; the runs agree to roundoff
         problem = linear_problem(0.7, -1.0)
         grid = problem.grid(700)
         ref = solve_reduction_parallel(problem, grid, 1, chunk=64)
@@ -266,3 +258,24 @@ class TestReductionStrategy:
         assert stats["chunk"] == 32
         assert (stats["idle_steps"] == 0).all()
         assert stats["partial_sums_sent"][1] > 0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_serial,
+        lambda problem, grid: solve_block_parallel(problem, grid, 2),
+        lambda problem, grid: solve_reduction_parallel(problem, grid, 2, chunk=4),
+    ],
+    ids=["serial", "block", "reduction"],
+)
+def test_scalar_rhs_result_is_step_error(solve):
+    # a scalar would broadcast into both components if the length went unchecked
+    def rhs(t, y):
+        return -y if t < 0.52 else float(-y[0])
+
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err:
+        solve(problem, problem.grid(20))
+    assert err.value.step == 10  # t_{n+1} = 0.55 is the first time past 0.52
+    assert "values, expected 2" in str(err.value)

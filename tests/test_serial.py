@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fodeabm import (
-    FractionalProblem,
-    GridSpec,
-    SolverStepError,
-    precompute_weights,
-    solve_serial,
-    step_corrector,
-    step_predictor,
-)
+from fodeabm import FractionalProblem, GridSpec, SolverStepError, solve_serial
+from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
 from conftest import constant_problem, linear_problem, power_problem
@@ -45,14 +38,28 @@ def brute_force_corrector(problem, grid, traj, n, y_pred):
     return problem.y0 + h**alpha * acc
 
 
+def step_over(problem, grid, traj, n):
+    """A PeceStep whose history holds the first n+1 rows of ``traj``'s rhs cache."""
+    step = PeceStep(problem, grid)
+    step.fT[:, : n + 1] = traj.f_cache[: n + 1].T
+    return step
+
+
+def advance_over(problem, grid, traj, n):
+    """Run step n of the shared kernel on ``traj``'s history: (yP, y_{n+1})."""
+    step = step_over(problem, grid, traj, n)
+    yP = step.advance(n, step.history(n, 0, n + 1))
+    return yP, step.Y[n + 1]
+
+
 class TestStepOperations:
     def test_zero_rhs_keeps_initial_state(self):
         problem = constant_problem(value=(0.0,), y0=(3.0,))
         grid = problem.grid(8)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(problem.alpha, 8)
         for n in range(8):
-            assert step_predictor(problem, weights, traj, n) == pytest.approx([3.0])
+            yP, _ = advance_over(problem, grid, traj, n)
+            assert yP == pytest.approx([3.0])
         assert (traj.states == 3.0).all()
 
     def test_classic_euler_first_step(self):
@@ -60,10 +67,8 @@ class TestStepOperations:
         problem = constant_problem(value=(1.0,), y0=(0.0,), alpha=1.0)
         grid = problem.grid(10)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(1.0, 10)
-        yP = step_predictor(problem, weights, traj, 0)
+        yP, y1 = advance_over(problem, grid, traj, 0)
         assert yP[0] == pytest.approx(0.1, abs=1e-15)
-        y1 = step_corrector(problem, weights, traj, 0, yP)
         assert y1[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_half_order_single_term_sum(self):
@@ -71,17 +76,15 @@ class TestStepOperations:
         problem = constant_problem(value=(1.0,), y0=(0.0,), alpha=0.5)
         grid = problem.grid(10)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(0.5, 10)
-        yP = step_predictor(problem, weights, traj, 0)
+        yP, _ = advance_over(problem, grid, traj, 0)
         assert yP[0] == pytest.approx(SQRT01_B0, rel=1e-14)
 
     def test_predictor_matches_brute_force(self):
         problem = linear_problem(alpha=0.6, lam=-1.0)
         grid = problem.grid(40)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(0.6, 40)
         for n in (0, 1, 7, 25, 39):
-            got = step_predictor(problem, weights, traj, n)
+            got, _ = advance_over(problem, grid, traj, n)
             want = brute_force_predictor(problem, grid, traj, n)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -92,20 +95,21 @@ class TestStepOperations:
         )
         grid = problem.grid(10)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(0.5, 10)
         for n in (0, 1, 5, 9):
-            yP = step_predictor(problem, weights, traj, n)
-            got = step_corrector(problem, weights, traj, n, yP)
+            yP, got = advance_over(problem, grid, traj, n)
             want = brute_force_corrector(problem, grid, traj, n, yP)
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_corrector_rejects_non_finite_prediction(self):
-        problem = constant_problem()
+        problem = linear_problem(alpha=0.5, lam=-1.0)
         grid = problem.grid(4)
         traj = solve_serial(problem, grid)
-        weights = precompute_weights(problem.alpha, 4)
-        with pytest.raises(SolverStepError):
-            step_corrector(problem, weights, traj, 1, np.array([float("nan")]))
+        step = step_over(problem, grid, traj, 1)
+        S = step.history(1, 0, 2)
+        S[0, 0] = float("nan")
+        with pytest.raises(SolverStepError) as err:
+            step.advance(1, S)
+        assert err.value.step == 1
 
 
 class TestSolveSerial:
@@ -144,14 +148,12 @@ class TestSolveSerial:
         N = 32
         grid = problem.grid(N)
         ref = solve_serial(problem, grid)
-        weights = precompute_weights(problem.alpha, N)
         states = [np.array(problem.y0)]
         fcache = [np.asarray(problem.rhs(0.0, problem.y0), dtype=float)]
         for n in range(N):
             partial = _PrefixTrajectory(grid, states, fcache)
-            yP = step_predictor(problem, weights, partial, n)
-            y1 = step_corrector(problem, weights, partial, n, yP)
-            states.append(y1)
+            _, y1 = advance_over(problem, grid, partial, n)
+            states.append(y1.copy())
             fcache.append(np.asarray(problem.rhs((n + 1) * grid.h, y1), dtype=float))
         np.testing.assert_allclose(np.vstack(states), ref.states, rtol=1e-13, atol=0)
 
