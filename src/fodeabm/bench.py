@@ -21,7 +21,15 @@ from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
 from .parallel import solve_block_parallel, solve_reduction_parallel
 from .serial import solve_serial
 
-__all__ = ["BenchRecord", "run_cell", "run_sweep", "records_to_csv", "idle_to_csv", "project_time"]
+__all__ = [
+    "BenchRecord",
+    "solve_strategy",
+    "run_cell",
+    "run_sweep",
+    "records_to_csv",
+    "idle_to_csv",
+    "project_time",
+]
 
 STRATEGIES = ("serial", "block", "reduction")
 
@@ -40,7 +48,18 @@ class BenchRecord:
     error: str = ""
 
 
-def _solve_once(problem: FractionalProblem, strategy: str, n_steps: int, workers: int, chunk: int, stats: dict | None = None):
+def solve_strategy(
+    problem: FractionalProblem,
+    strategy: str,
+    n_steps: int,
+    workers: int,
+    chunk: int,
+    stats: dict | None = None,
+):
+    """Solve on an N-step grid with the named strategy (one of ``STRATEGIES``).
+
+    ``workers`` applies to block and reduction, ``chunk`` to reduction only.
+    """
     grid = problem.grid(n_steps)
     if strategy == "serial":
         return solve_serial(problem, grid)
@@ -69,13 +88,13 @@ def run_cell(
         raise ValueError("repetitions must be >= 1")
     stats: dict = {}
     if warmup:
-        _solve_once(problem, strategy, n_steps, workers, chunk)
+        solve_strategy(problem, strategy, n_steps, workers, chunk)
     times = []
     digest = None
     for _ in range(repetitions):
         stats = {}
         t0 = time.perf_counter()
-        traj = _solve_once(problem, strategy, n_steps, workers, chunk, stats)
+        traj = solve_strategy(problem, strategy, n_steps, workers, chunk, stats)
         times.append(time.perf_counter() - t0)
         d = traj.states.tobytes()
         if digest is None:

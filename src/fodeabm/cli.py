@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import project_time, records_to_csv, idle_to_csv, run_sweep
+from .bench import (
+    STRATEGIES,
+    idle_to_csv,
+    project_time,
+    records_to_csv,
+    run_sweep,
+    solve_strategy,
+)
 from .checks import run_verification_suite
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
-from .parallel import solve_block_parallel, solve_reduction_parallel
-from .serial import solve_serial
 from .systems import (
     HR_DEFAULT_Y0,
     SYSTEM_NAMES,
@@ -81,17 +86,6 @@ def build_problem(cfg: RunConfig) -> FractionalProblem:
             alpha=cfg.alpha, dim=3, rhs=rhs_hindmarsh_rose(params), y0=y0, t_end=cfg.t_max
         )
     raise ValueError(f"unknown system {cfg.system!r}; choose from {', '.join(SYSTEM_NAMES)}")
-
-
-def solve_with_strategy(problem: FractionalProblem, cfg: RunConfig):
-    grid = problem.grid(cfg.n_steps)
-    if cfg.strategy == "serial":
-        return solve_serial(problem, grid)
-    if cfg.strategy == "block":
-        return solve_block_parallel(problem, grid, cfg.workers)
-    if cfg.strategy == "reduction":
-        return solve_reduction_parallel(problem, grid, cfg.workers, cfg.chunk)
-    raise ValueError(f"unknown strategy {cfg.strategy!r}")
 
 
 def write_trajectory_csv(path: str, traj) -> None:
@@ -168,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="integrate one problem and write the trajectory")
     common(p_solve)
     p_solve.add_argument("--steps", type=int, help="number of time steps N")
-    p_solve.add_argument("--strategy", choices=("serial", "block", "reduction"))
+    p_solve.add_argument("--strategy", choices=STRATEGIES)
 
     p_bench = sub.add_parser("bench", help="timing sweep over strategies, N and workers")
     common(p_bench)
@@ -239,7 +233,7 @@ def _run_config_from_args(args: argparse.Namespace, config: dict, for_bench: boo
 def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
     cfg = _run_config_from_args(args, config, for_bench=False)
     problem = build_problem(cfg)
-    traj = solve_with_strategy(problem, cfg)
+    traj = solve_strategy(problem, cfg.strategy, cfg.n_steps, cfg.workers, cfg.chunk)
     write_trajectory_csv(cfg.output, traj)
     print(f"wrote {traj.states.shape[0]} rows to {cfg.output}")
     return 0

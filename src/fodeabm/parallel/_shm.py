@@ -1,21 +1,25 @@
-"""Shared-memory scaffolding for the fork-based worker engines.
+"""Shared-memory scaffolding for the fork-based worker engine.
 
 Workers are long-lived processes forked from the solving process.  They
-communicate through a single anonymous shared mmap carved into numpy views:
-monotonic int64 counters act as the message channels (a counter advancing
-past n publishes the slot contents for step n), and float64 regions hold the
-rhs history, the states and the per-step partial sums.  Read-only data such
-as the weight table is inherited through fork instead.
+communicate through numpy views of anonymous shared mmaps: monotonic int64
+counters act as the message channels (a counter advancing past n publishes
+the slot contents for step n), and float64 arrays hold the rhs history and
+the per-step partial sums.  Read-only data such as the weight table is
+inherited through fork instead.
 
 Counter protocol: the data for a step is always written *before* the counter
 store that announces it, and every counter has a single writer at any time.
 This relies on the total-store-order semantics of x86-64 (and the cache
-coherence of a single host); no fences are issued from Python.
+coherence of a single host); no fences are issued from Python, so
+:func:`fork_processes` refuses any other machine.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
+import os
+import platform
 import time
 from typing import Sequence
 
@@ -25,105 +29,75 @@ import numpy as np
 
 from ..core import SolverStepError, StrategyTimeoutError
 
-# control-word indices shared by both engines
-ERR = 0        # 0 ok, 1 non-finite step, 2 worker exception, 3 watchdog
-ERR_STEP = 1
-MSG_LEN = 2
+# control-word indices
+ERR = 0        # 0 ok, else FAILED or TIMED_OUT
+MSG_LEN = 1
+
+# error kinds
+FAILED = 1     # a process stopped on an exception
+TIMED_OUT = 2  # a wait outlived its watchdog
 
 _CACHE_LINE = 64
-_MSG_BYTES = 512
 _SPIN_MASK = 255  # spin iterations between slow-path checks
 
 DEFAULT_WATCHDOG_S = 60.0
 RING = 256  # partial-sum slots per sender; senders may lead the consumer by this many steps
+_X86_64 = ("x86_64", "AMD64")
 
 
 class _Abort(Exception):
     """Internal: raised inside spin loops when the shared error flag is set."""
 
 
-class SharedArena:
-    """One anonymous shared mapping, carved sequentially into numpy views."""
+def shared(shape: int | Sequence[int], dtype=np.float64) -> np.ndarray:
+    """A zero-filled array in its own anonymous shared mapping.
 
-    def __init__(self, n_bytes: int):
-        self._mm = mmap.mmap(-1, n_bytes)
-        self._offset = 0
-        self._size = n_bytes
-
-    def _take(self, n_bytes: int, align: int = _CACHE_LINE) -> int:
-        start = -(-self._offset // align) * align
-        end = start + n_bytes
-        if end > self._size:
-            raise RuntimeError("shared arena overflow")
-        self._offset = end
-        return start
-
-    def int64(self, count: int) -> np.ndarray:
-        off = self._take(8 * count)
-        arr = np.frombuffer(self._mm, dtype=np.int64, count=count, offset=off)
-        arr[:] = 0
-        return arr
-
-    def f64(self, shape: Sequence[int]) -> np.ndarray:
-        count = int(np.prod(shape))
-        off = self._take(8 * count)
-        return np.frombuffer(self._mm, dtype=np.float64, count=count, offset=off).reshape(shape)
-
-    def bytes_region(self, count: int) -> np.ndarray:
-        off = self._take(count)
-        arr = np.frombuffer(self._mm, dtype=np.uint8, count=count, offset=off)
-        arr[:] = 0
-        return arr
-
-    def counters(self, count: int) -> np.ndarray:
-        """`count` monotonic counters padded to one cache line each."""
-        off = self._take(_CACHE_LINE * count)
-        arr = np.frombuffer(
-            self._mm, dtype=np.int64, count=count * (_CACHE_LINE // 8), offset=off
-        ).reshape(count, _CACHE_LINE // 8)
-        arr[:] = 0
-        return arr[:, 0]
+    Forked workers share the mapping, so each sees every write to it.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-def arena_size(*regions: int) -> int:
-    """Total bytes for the given region sizes, padded for alignment."""
-    return sum(-(-r // _CACHE_LINE) * _CACHE_LINE for r in regions) + 4 * _CACHE_LINE
+def counters(count: int) -> np.ndarray:
+    """``count`` shared monotonic counters padded to one cache line each."""
+    return shared((count, _CACHE_LINE // 8), np.int64)[:, 0]
 
 
-def report_error(ctrl: np.ndarray, msgbuf: np.ndarray, kind: int, step: int, text: str) -> None:
+def report_error(ctrl: np.ndarray, msgbuf: np.ndarray, kind: int, text: str) -> None:
     """Publish an error from any process; first writer wins."""
     if ctrl[ERR] != 0:
         return
-    data = text.encode("utf-8", "replace")[: _MSG_BYTES - 1]
+    data = text.encode("utf-8", "replace")[: len(msgbuf)]
     msgbuf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     ctrl[MSG_LEN] = len(data)
-    ctrl[ERR_STEP] = step
     ctrl[ERR] = kind
 
 
-def read_error_message(ctrl: np.ndarray, msgbuf: np.ndarray) -> str:
-    n = int(ctrl[MSG_LEN])
-    return bytes(msgbuf[:n]).decode("utf-8", "replace")
+def raise_shared_error(ctrl: np.ndarray, msgbuf: np.ndarray, step: int, h: float) -> None:
+    """Map the shared error state to the public exception types.
 
-
-def raise_shared_error(ctrl: np.ndarray, msgbuf: np.ndarray, h: float) -> None:
-    """Map the shared error state to the public exception types."""
-    kind = int(ctrl[ERR])
-    step = int(ctrl[ERR_STEP])
-    msg = read_error_message(ctrl, msgbuf)
-    if kind == 1:
-        raise SolverStepError(msg or "rhs returned a non-finite value", step=step, t=(step + 1) * h)
-    if kind == 2:
-        raise SolverStepError(f"worker failed: {msg}", step=step, t=(step + 1) * h)
-    if kind == 3:
-        raise StrategyTimeoutError(msg or "parallel strategy watchdog expired")
-    raise RuntimeError(f"unknown shared error kind {kind}: {msg}")
+    ``step`` is the step the coordinator could not complete.
+    """
+    msg = bytes(msgbuf[: ctrl[MSG_LEN]]).decode("utf-8", "replace")
+    if ctrl[ERR] == TIMED_OUT:
+        raise StrategyTimeoutError(msg)
+    raise SolverStepError(f"worker failed: {msg}", step=step, t=(step + 1) * h)
 
 
 def spin_tick(
-    ctrl: np.ndarray, msgbuf: np.ndarray, deadline: float, waited_iters: int, label: str
+    ctrl: np.ndarray,
+    msgbuf: np.ndarray,
+    deadline: float,
+    waited_iters: int,
+    label: str,
+    parent: int = 0,
 ) -> None:
     """Slow path of a spin loop: abort on shared errors, time out, and yield.
+
+    A helper passes the coordinator's pid as ``parent`` and aborts once its
+    parent pid differs: the coordinator died and the helper was re-parented.
 
     Call every few hundred iterations; pure spinning between calls keeps the
     fast path at sub-microsecond latency.  Yielding starts only after the
@@ -132,10 +106,10 @@ def spin_tick(
     the core to an unrelated process and turn a microsecond wait into a
     scheduler timeslice.
     """
-    if ctrl[ERR] != 0:
+    if ctrl[ERR] != 0 or (parent and os.getppid() != parent):
         raise _Abort()
     if time.monotonic() >= deadline:
-        report_error(ctrl, msgbuf, 3, -1, f"no progress while waiting for {label}")
+        report_error(ctrl, msgbuf, TIMED_OUT, f"no progress while waiting for {label}")
         raise _Abort()
     if waited_iters > 1 << 11:  # past the microsecond-scale waits of a healthy run
         time.sleep(0 if waited_iters < 1 << 20 else 5e-5)
@@ -149,12 +123,14 @@ def wait_for(
     i: int,
     target: int,
     label: str,
+    parent: int = 0,
 ) -> None:
     """Spin until ``counters[i] >= target``: the receive side of the protocol.
 
-    Raises :class:`_Abort` on the shared error flag, and reports a watchdog
-    error after ``timeout_s`` seconds without the awaited value (``math.inf``
-    waits for as long as the error flag stays clear).
+    Raises :class:`_Abort` on the shared error flag or when ``parent`` is
+    given and is no longer the parent process, and reports a watchdog error
+    after ``timeout_s`` seconds without the awaited value (``math.inf``
+    waits for as long as neither happens).
     """
     it = 0
     deadline = 0.0
@@ -163,11 +139,21 @@ def wait_for(
         if not it & _SPIN_MASK:
             if deadline == 0.0:
                 deadline = time.monotonic() + timeout_s
-            spin_tick(ctrl, msgbuf, deadline, it, label)
+            spin_tick(ctrl, msgbuf, deadline, it, label, parent)
 
 
 def fork_processes(target, worker_ids: Sequence[int]) -> list:
-    """Fork one process per worker id; requires the 'fork' start method."""
+    """Fork one process per worker id running ``target(w)``.
+
+    Requires the 'fork' start method and an x86-64 machine: the counter
+    protocol issues no fences and is only sound under total store order.
+    """
+    machine = platform.machine()
+    if machine not in _X86_64:
+        raise RuntimeError(
+            f"parallel strategies need an x86-64 machine (total store order), "
+            f"got {machine!r}; use the serial strategy or a single worker"
+        )
     try:
         ctx = mp.get_context("fork")
     except ValueError as exc:  # pragma: no cover - non-POSIX hosts
@@ -183,12 +169,16 @@ def fork_processes(target, worker_ids: Sequence[int]) -> list:
     return procs
 
 
-def shutdown(procs, ctrl: np.ndarray, msgbuf: np.ndarray, grace_s: float = 5.0) -> None:
-    """Join workers, escalating to terminate if they ignore the stop flag."""
+def shutdown(procs, grace_s: float = 5.0) -> None:
+    """Join workers, killing any that ignore the stop flag.
+
+    SIGKILL, because a stopped process leaves SIGTERM pending and would
+    never be joined.
+    """
     deadline = time.monotonic() + grace_s
     for p in procs:
         p.join(timeout=max(0.0, deadline - time.monotonic()))
     for p in procs:
         if p.is_alive():
-            p.terminate()
+            p.kill()
             p.join()

@@ -9,9 +9,9 @@ corrector) product:
 - the coordinator (worker 0, in the calling process) keeps the newest span,
   which always contains at least the newest chunk;
 - the helpers take the older spans in ascending order.  Every term of an
-  older span is final one step before it is needed, so, like the block
-  engine's senders, helpers write their partials through a ring and run at
-  least one step ahead of the coordinator.
+  older span is final one step before it is needed, so helpers write their
+  partials through a ring and run at least one step ahead of the
+  coordinator.
 
 The coordinator adds the helpers' partials in ascending span order to its own
 and runs the shared PECE assembly.  Span boundaries depend only on (n, chunk,
@@ -20,13 +20,19 @@ coordinator's span is the whole history (one worker, or one chunk per step)
 its product is the very call the serial solver makes, which keeps the run
 bitwise identical to it.  The coordinator cedes ``_BIAS_TERMS`` history
 terms of its even share to the helpers to pay for the assembly; the
-ceded count depends only on the chunk width.
+ceded count depends only on the chunk width.  The rhs and the assembly run
+in the calling process only, so an rhs fails here exactly as in the serial
+solver.
+
+A helper whose span of a step is empty skips it; those steps are its
+``idle_steps``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .._threads import single_threaded_blas
 from ..core import FractionalProblem, GridSpec
 from ..serial import PeceStep, Trajectory
 from . import _shm
-from ._shm import DEFAULT_WATCHDOG_S, ERR, RING, SharedArena, _Abort
+from ._shm import DEFAULT_WATCHDOG_S, ERR, FAILED, RING, _Abort
 
 __all__ = ["solve_reduction_parallel"]
 
@@ -74,7 +80,9 @@ def solve_reduction_parallel(
 
     The calling process acts as worker 0 and coordinator; ``n_workers - 1``
     helper processes are forked.  ``chunk`` of at least N, or a single
-    worker, is bitwise identical to :func:`solve_serial`.
+    worker, is bitwise identical to :func:`solve_serial`.  ``stats``, when
+    given, receives per-worker ``idle_steps`` (steps whose span was empty)
+    and ``partial_sums_sent`` (two per helper message), and the ``chunk``.
     """
     N = grid.n_steps
     d = problem.dim
@@ -87,37 +95,31 @@ def solve_reduction_parallel(
     P = n_workers
     bias = round(_BIAS_TERMS / chunk)
 
-    arena = SharedArena(
-        _shm.arena_size(
-            8 * 8,                      # control words
-            64 * (P + 1),               # counters
-            512,                        # error message
-            8 * d * (N + 1),            # rhs cache
-            8 * P * RING * d * 2,       # partial-sum slots
-            8 * P,                      # instrumentation
-        )
-    )
-    ctrl = arena.int64(8)
-    done = arena.counters(1)            # last step whose f_{n+1} is published
-    sent = arena.counters(P)            # helper progress, one per worker
-    msgbuf = arena.bytes_region(512)
-    step = PeceStep(problem, grid, fT=arena.f64((d, N + 1)))
-    slots = arena.f64((P, RING, d, 2))
-    stat_msgs = arena.int64(P)
+    ctrl = _shm.shared(2, np.int64)
+    done = _shm.counters(1)             # last step whose f_{n+1} is published
+    sent = _shm.counters(P)             # helper progress, one per worker
+    msgbuf = _shm.shared(512, np.uint8)
+    step = PeceStep(problem, grid, fT=_shm.shared((d, N + 1)))
+    slots = _shm.shared((P, RING, d, 2))
+    stat_idle = _shm.shared(P, np.int64)
+    stat_msgs = _shm.shared(P, np.int64)
     done[0] = -1
     wait = functools.partial(_shm.wait_for, ctrl, msgbuf, watchdog_s)
     spans_for = functools.lru_cache(maxsize=None)(lambda m: _spans(m, P, bias))
 
+    coordinator = os.getpid()
+
     def helper(w: int) -> None:
         # helpers never time out on their own: they follow the coordinator's
-        # progress or its error flag
-        wait_inf = functools.partial(_shm.wait_for, ctrl, msgbuf, math.inf)
-        sent_count = 0
+        # progress, its error flag or its death
+        wait_inf = functools.partial(_shm.wait_for, ctrl, msgbuf, math.inf, parent=coordinator)
+        sent_count = idle = 0
         try:
             with single_threaded_blas():
                 for n in range(N):
                     j0, j1 = spans_for(n // chunk + 1)[w]
                     if j0 == j1:
+                        idle += 1
                         continue
                     lo, hi = j0 * chunk, j1 * chunk
                     # f_{hi-1} is published with step hi-2; the slot is free
@@ -129,11 +131,13 @@ def solve_reduction_parallel(
         except _Abort:
             pass
         except Exception as exc:  # pragma: no cover - defensive
-            _shm.report_error(ctrl, msgbuf, 2, -1, f"{type(exc).__name__}: {exc}")
+            _shm.report_error(ctrl, msgbuf, FAILED, f"{type(exc).__name__}: {exc}")
         finally:
+            stat_idle[w] = idle
             stat_msgs[w] = sent_count
 
     procs = []
+    n = 0
     try:
         with single_threaded_blas():
             if P > 1:
@@ -153,17 +157,16 @@ def solve_reduction_parallel(
         pass
     except BaseException:
         # release helpers waiting for steps that will never be published
-        _shm.report_error(ctrl, msgbuf, 2, -1, "coordinator stopped")
+        _shm.report_error(ctrl, msgbuf, FAILED, "coordinator stopped")
         raise
     finally:
-        if procs:
-            _shm.shutdown(procs, ctrl, msgbuf)
+        _shm.shutdown(procs)
 
     if ctrl[ERR] != 0:
-        _shm.raise_shared_error(ctrl, msgbuf, grid.h)
+        _shm.raise_shared_error(ctrl, msgbuf, n, grid.h)
 
     if stats is not None:
-        stats["idle_steps"] = np.zeros(P, dtype=np.int64)
+        stats["idle_steps"] = np.array(stat_idle)
         stats["partial_sums_sent"] = np.array(stat_msgs)
         stats["chunk"] = chunk
 

@@ -138,8 +138,10 @@ class PeceStep:
         try:
             value = self.rhs(t, y)
             self.fbuf[:] = value
-        except (ArithmeticError, ValueError) as exc:
-            raise SolverStepError(f"rhs evaluation failed: {exc}", step=n, t=t) from exc
+        except Exception as exc:
+            raise SolverStepError(
+                f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=n, t=t
+            ) from exc
         # the store above broadcasts a scalar or a single value to all d entries
         if _length(value) != self.dim:
             raise SolverStepError(
@@ -153,9 +155,9 @@ class PeceStep:
 
         S is overwritten: column 0 with the predicted state, column 1 with
         y_{n+1}.  Stores y_{n+1} and f_{n+1} and returns the predicted
-        state.  Raises :class:`SolverStepError` for step n if an rhs
-        evaluation raises an arithmetic or value error, returns other than
-        ``dim`` values, or is non-finite.
+        state.  Raises :class:`SolverStepError` for step n, with the cause
+        chained, if an rhs evaluation raises, returns other than ``dim``
+        values, or is non-finite.
         """
         t1 = (n + 1) * self.h
         S += self.y0_columns

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
+import platform
 import random
+import signal
 import time
 
 import numpy as np
@@ -145,10 +149,12 @@ class TestBlockStrategy:
         idle = stats["idle_steps"]
         msgs = stats["partial_sums_sent"]
         for w in range(workers):
-            lo, hi = plan.blocks[w]
-            assert idle[w] == lo
-            # one predictor and one corrector partial per step above the block
-            assert msgs[w] == (2 * (n - hi) if lo < hi else 0)
+            assert idle[w] == plan.blocks[w][0]
+        # worker 0 assembles every step and sends nothing; helper w sends one
+        # predictor and one corrector partial of block w-1 per step above it
+        assert msgs[0] == 0
+        for w in range(1, workers):
+            assert msgs[w] == 2 * (n - plan.blocks[w - 1][1])
 
     def test_idle_matches_idle_fraction(self):
         problem = linear_problem(0.5, -1.0)
@@ -167,18 +173,6 @@ class TestBlockStrategy:
         with pytest.raises(SolverStepError) as err:
             solve_block_parallel(problem, problem.grid(20), 2)
         assert err.value.step == 11  # t_{n+1} = 0.60 is the first time past 0.55
-
-    def test_watchdog_breaks_hang(self):
-        def stuck(t, y):
-            if t > 0.5:
-                time.sleep(30.0)
-            return (0.0,)
-
-        problem = FractionalProblem(alpha=0.5, dim=1, rhs=stuck, y0=[0.0], t_end=1.0)
-        t0 = time.monotonic()
-        with pytest.raises(StrategyTimeoutError):
-            solve_block_parallel(problem, problem.grid(8), 2, watchdog_s=1.0)
-        assert time.monotonic() - t0 < 20.0
 
     def test_worker_bounds(self):
         problem = constant_problem()
@@ -256,11 +250,12 @@ class TestReductionStrategy:
         stats = {}
         solve_reduction_parallel(problem, problem.grid(300), 2, chunk=32, stats=stats)
         assert stats["chunk"] == 32
-        assert (stats["idle_steps"] == 0).all()
+        # the helper's span is empty while the history has a single chunk
+        assert stats["idle_steps"].tolist() == [0, 32]
         assert stats["partial_sums_sent"][1] > 0
 
 
-@pytest.mark.parametrize(
+every_strategy = pytest.mark.parametrize(
     "solve",
     [
         solve_serial,
@@ -269,6 +264,18 @@ class TestReductionStrategy:
     ],
     ids=["serial", "block", "reduction"],
 )
+
+parallel_strategies = pytest.mark.parametrize(
+    "solve",
+    [
+        solve_block_parallel,
+        lambda problem, grid, workers, **kw: solve_reduction_parallel(problem, grid, workers, 64, **kw),
+    ],
+    ids=["block", "reduction"],
+)
+
+
+@every_strategy
 def test_scalar_rhs_result_is_step_error(solve):
     # a scalar would broadcast into both components if the length went unchecked
     def rhs(t, y):
@@ -279,3 +286,107 @@ def test_scalar_rhs_result_is_step_error(solve):
         solve(problem, problem.grid(20))
     assert err.value.step == 10  # t_{n+1} = 0.55 is the first time past 0.52
     assert "values, expected 2" in str(err.value)
+
+
+@every_strategy
+def test_raising_rhs_is_step_error(solve):
+    def rhs(t, y):
+        if t > 0.52:
+            raise TypeError("rhs gave up")
+        return -y
+
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err:
+        solve(problem, problem.grid(20))
+    assert err.value.step == 10
+    assert isinstance(err.value.__cause__, TypeError)
+
+
+@parallel_strategies
+def test_watchdog_breaks_hang(solve):
+    # a helper that stops answering trips the coordinator's watchdog; at
+    # N=2000 a helper stopped mid-run cannot have finished a ring ahead
+    stopped = []
+
+    def rhs(t, y):
+        if t > 0.5 and not stopped:
+            stopped.extend(p.pid for p in multiprocessing.active_children())
+            for pid in stopped:
+                os.kill(pid, signal.SIGSTOP)
+        return -y
+
+    problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(StrategyTimeoutError):
+            solve(problem, problem.grid(2000), 2, watchdog_s=1.0)
+    finally:
+        for pid in stopped:
+            try:
+                os.kill(pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+    assert stopped
+    assert time.monotonic() - t0 < 20.0
+    assert multiprocessing.active_children() == []
+
+
+def _gone(pid: int) -> bool:
+    """True when the process has exited (reaped, or a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_killed_coordinator_leaves_no_helper():
+    # helpers wait for the coordinator without a deadline; once it is killed
+    # they are re-parented and must notice and exit
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def coordinator():
+        def rhs(t, y):
+            if t > 0.5:
+                send.send([p.pid for p in multiprocessing.active_children()])
+                time.sleep(60.0)
+            return -y
+
+        problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+        solve_reduction_parallel(problem, problem.grid(200), 2, chunk=16)
+
+    child = ctx.Process(target=coordinator)
+    child.start()
+    helpers = []
+    try:
+        assert recv.poll(30.0)
+        helpers = recv.recv()
+        assert helpers
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(5.0)
+        deadline = time.monotonic() + 5.0
+        while not all(map(_gone, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone, helpers))
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+        for pid in helpers:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@parallel_strategies
+def test_non_x86_machine_refused(solve, monkeypatch):
+    # the counter protocol issues no fences, so it needs total store order
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    problem = linear_problem(0.5, -1.0)
+    grid = problem.grid(64)
+    with pytest.raises(RuntimeError, match="x86-64") as err:
+        solve(problem, grid, 2)
+    assert type(err.value) is RuntimeError
+    # a single worker never forks
+    assert np.array_equal(solve(problem, grid, 1).states, solve_serial(problem, grid).states)
