@@ -1,9 +1,10 @@
 """Timing harness: strategy sweeps, speedups, idle counts, O(N^2) projection.
 
-A cell is one (strategy, N, P, chunk) configuration.  Cells run sequentially
-(warmup solve discarded, then ``repetitions`` timed solves; the median is
-reported) and the speedup of every parallel cell is taken against the serial
-cell at the same N.  Trajectories across repetitions of a cell must be
+A cell is one (strategy, N, P, chunk) configuration.  ``run_cell`` times one
+cell on its own (warmup solve discarded, then ``repetitions`` timed solves;
+the median is reported).  ``run_sweep`` interleaves the cells of each N in
+rounds and takes every parallel cell's speedup against the serial solve of
+the same round.  Trajectories across repetitions of a cell must be
 bitwise identical; the harness enforces that because a nondeterministic
 solver would invalidate the whole comparison.
 """
@@ -118,61 +119,82 @@ def run_sweep(
 ) -> tuple[list[BenchRecord], list[dict]]:
     """Full grid of cells; serial cells are always run (they are the baseline).
 
-    Returns the records plus per-cell idle-count rows for the block strategy.
-    A numerically failing cell is recorded with its error and the sweep
-    continues.
+    For each N every cell is warmed up once, then ``repetitions`` rounds run
+    serial followed by each parallel cell, so host drift hits all cells of
+    a round alike.  A cell's time is its median over the rounds and its
+    speedup the median of its per-round ratios to serial.  Trajectories
+    must be bitwise identical across a cell's solves.  Returns the records
+    plus per-cell idle-count rows for the block strategy.  A numerically
+    failing cell is recorded with its error and leaves the later rounds.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     records: list[BenchRecord] = []
     idle_rows: list[dict] = []
+    cells = [("serial", 1)] + [
+        (strategy, workers)
+        for strategy in strategies
+        if strategy != "serial"
+        for workers in workers_list
+    ]
     for n_steps in n_list:
-        serial_time = math.nan
-        try:
-            serial_time, _ = run_cell(problem, "serial", n_steps, repetitions=repetitions)
+        times: dict = {cell: [] for cell in cells}
+        digests: dict = {}
+        stats: dict = {}
+        errors: dict = {}
+        for rnd in range(repetitions + 1):  # round 0 is the warm-up
+            for cell in cells:
+                if cell in errors:
+                    continue
+                strategy, workers = cell
+                stats[cell] = {}
+                t0 = time.perf_counter()
+                try:
+                    traj = solve_strategy(problem, strategy, n_steps, workers, chunk, stats[cell])
+                except (SolverStepError, StrategyTimeoutError) as exc:
+                    errors[cell] = str(exc)
+                    continue
+                if rnd:
+                    times[cell].append(time.perf_counter() - t0)
+                    digest = traj.states.tobytes()
+                    if digests.setdefault(cell, digest) != digest:
+                        raise RuntimeError(
+                            f"nondeterministic trajectories across repetitions in cell "
+                            f"({strategy}, N={n_steps}, P={workers}, chunk={chunk})"
+                        )
+        serial_times = times[("serial", 1)]
+        for cell in cells:
+            strategy, workers = cell
+            cell_chunk = chunk if strategy == "reduction" else None
+            label = f"{strategy:<12} N={n_steps:>8}" + ("" if strategy == "serial" else f" P={workers}")
+            if cell in errors:
+                records.append(
+                    BenchRecord(strategy, n_steps, workers, cell_chunk, math.nan, repetitions, math.nan, errors[cell])
+                )
+                if log:
+                    log(f"{label}  FAILED: {errors[cell]}")
+                continue
+            t = statistics.median(times[cell])
+            speedup = math.nan
+            if ("serial", 1) not in errors:
+                speedup = statistics.median(s / c for s, c in zip(serial_times, times[cell]))
             records.append(
-                BenchRecord("serial", n_steps, 1, None, serial_time, repetitions, 1.0)
+                BenchRecord(strategy, n_steps, workers, cell_chunk, t, repetitions, speedup)
             )
             if log:
-                log(f"serial       N={n_steps:>8}  {serial_time:8.3f}s")
-        except (SolverStepError, StrategyTimeoutError) as exc:
-            records.append(BenchRecord("serial", n_steps, 1, None, math.nan, repetitions, math.nan, str(exc)))
-            if log:
-                log(f"serial       N={n_steps:>8}  FAILED: {exc}")
-        for strategy in strategies:
-            if strategy == "serial":
-                continue
-            for workers in workers_list:
-                cell_chunk = chunk if strategy == "reduction" else None
-                try:
-                    t, stats = run_cell(
-                        problem, strategy, n_steps, workers, chunk, repetitions=repetitions
+                log(f"{label} {t:8.3f}s" + ("" if strategy == "serial" else f"  speedup {speedup:5.2f}"))
+            if strategy == "block" and "idle_steps" in stats[cell]:
+                for w, idle in enumerate(stats[cell]["idle_steps"]):
+                    idle_rows.append(
+                        {
+                            "strategy": strategy,
+                            "n_steps": n_steps,
+                            "workers": workers,
+                            "worker": w,
+                            "idle_steps": int(idle),
+                            "messages_sent": int(stats[cell]["partial_sums_sent"][w]),
+                        }
                     )
-                    speedup = serial_time / t if t > 0 else math.nan
-                    records.append(
-                        BenchRecord(strategy, n_steps, workers, cell_chunk, t, repetitions, speedup)
-                    )
-                    if log:
-                        log(
-                            f"{strategy:<12} N={n_steps:>8} P={workers} "
-                            f"{t:8.3f}s  speedup {speedup:5.2f}"
-                        )
-                    if strategy == "block" and "idle_steps" in stats:
-                        for w, idle in enumerate(stats["idle_steps"]):
-                            idle_rows.append(
-                                {
-                                    "strategy": strategy,
-                                    "n_steps": n_steps,
-                                    "workers": workers,
-                                    "worker": w,
-                                    "idle_steps": int(idle),
-                                    "messages_sent": int(stats["partial_sums_sent"][w]),
-                                }
-                            )
-                except (SolverStepError, StrategyTimeoutError) as exc:
-                    records.append(
-                        BenchRecord(strategy, n_steps, workers, cell_chunk, math.nan, repetitions, math.nan, str(exc))
-                    )
-                    if log:
-                        log(f"{strategy:<12} N={n_steps:>8} P={workers}  FAILED: {exc}")
     return records, idle_rows
 
 

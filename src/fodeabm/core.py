@@ -55,9 +55,9 @@ def _all_finite(vec: np.ndarray) -> bool:
     A non-finite entry makes the vector's dot product with itself non-finite,
     so a finite product proves the vector finite; a non-finite one (also
     reached when a square overflows) is confirmed with the exact elementwise
-    check.
+    check.  ``vec.dot`` skips the dispatch that ``@`` goes through.
     """
-    if math.isfinite(vec @ vec):
+    if math.isfinite(vec.dot(vec)):
         return True
     return bool(np.isfinite(vec).all())
 
@@ -227,8 +227,18 @@ class FractionalProblem:
         return GridSpec.from_horizon(self.t_end, n_steps)
 
     def eval_rhs0(self) -> np.ndarray:
-        """Evaluate f(0, y0), validating the rhs output shape and finiteness."""
-        raw = self.rhs(0.0, self.y0)
+        """Evaluate f(0, y0), validating the rhs output shape and finiteness.
+
+        An rhs that raises gives :class:`SolverStepError` at step 0, with the
+        original exception as its cause; a wrong-length result is a
+        ``ValueError``.
+        """
+        try:
+            raw = self.rhs(0.0, self.y0)
+        except Exception as exc:
+            raise SolverStepError(
+                f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=0, t=0.0
+            ) from exc
         f0 = np.asarray(raw, dtype=np.float64).reshape(-1)
         if f0.shape != (self.dim,):
             raise ValueError(

@@ -20,7 +20,9 @@ import math
 import mmap
 import os
 import platform
+import threading
 import time
+import warnings
 from typing import Sequence
 
 import multiprocessing as mp
@@ -147,6 +149,9 @@ def fork_processes(target, worker_ids: Sequence[int]) -> list:
 
     Requires the 'fork' start method and an x86-64 machine: the counter
     protocol issues no fences and is only sound under total store order.
+    Warns once when other threads are running: a lock that one of them
+    holds at the fork stays held for good in every helper.  It warns rather
+    than refuses because interactive kernels always run threads.
     """
     machine = platform.machine()
     if machine not in _X86_64:
@@ -161,6 +166,15 @@ def fork_processes(target, worker_ids: Sequence[int]) -> list:
             "parallel strategies need the 'fork' multiprocessing start method "
             "(POSIX only)"
         ) from exc
+    threads = threading.active_count()
+    if threads > 1:
+        warnings.warn(
+            f"forking helpers from a process with {threads} threads: "
+            "a lock held by another thread at the fork stays held in the helpers, "
+            "which can deadlock them",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     procs = []
     for w in worker_ids:
         p = ctx.Process(target=target, args=(w,), daemon=True)

@@ -122,7 +122,8 @@ class PeceStep:
         self.Y[0] = problem.y0
         self.fT[:, 0] = problem.eval_rhs0()
         self.f0 = self.fT[:, 0].copy()
-        self.fbuf = np.empty(d)
+        self.fP = np.empty(d)
+        self.prod = np.empty(d)  # scratch for the corrector's two products
 
     def history(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Step n's predictor and corrector sums over k in [lo, hi), times h^alpha.
@@ -133,11 +134,11 @@ class PeceStep:
         o = self.N - n
         return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
 
-    def _evaluate(self, n: int, t: float, y: np.ndarray) -> None:
-        """f(t, y) into ``fbuf``, checked for failure, length and finiteness."""
+    def _evaluate(self, n: int, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        """f(t, y) into ``out``, checked for failure, length and finiteness."""
         try:
             value = self.rhs(t, y)
-            self.fbuf[:] = value
+            out[:] = value
         except Exception as exc:
             raise SolverStepError(
                 f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=n, t=t
@@ -147,28 +148,28 @@ class PeceStep:
             raise SolverStepError(
                 f"rhs returned {np.size(value)} values, expected {self.dim}", step=n, t=t
             )
-        if not _all_finite(self.fbuf):
+        if not _all_finite(out):
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
 
     def advance(self, n: int, S: np.ndarray) -> np.ndarray:
         """Predict, evaluate, correct and evaluate step n from its sums S.
 
         S is overwritten: column 0 with the predicted state, column 1 with
-        y_{n+1}.  Stores y_{n+1} and f_{n+1} and returns the predicted
-        state.  Raises :class:`SolverStepError` for step n, with the cause
-        chained, if an rhs evaluation raises, returns other than ``dim``
-        values, or is non-finite.
+        the corrector's sums plus y_0.  Forms y_{n+1} in row n+1 of ``Y``
+        and evaluates f_{n+1} straight into column n+1 of ``fT``; returns
+        the predicted state.  Raises :class:`SolverStepError` for step n,
+        with the cause chained, if an rhs evaluation raises, returns other
+        than ``dim`` values, or is non-finite; column n+1 of ``fT`` may then
+        hold the failing values.
         """
         t1 = (n + 1) * self.h
         S += self.y0_columns
         yP = S[:, 0]
-        self._evaluate(n, t1, yP)
-        y1 = S[:, 1]
-        y1 += self.f0_weight[n] * self.f0
-        y1 += self.fP_weight * self.fbuf
-        self._evaluate(n, t1, y1)
-        self.Y[n + 1] = y1
-        self.fT[:, n + 1] = self.fbuf
+        self._evaluate(n, t1, yP, self.fP)
+        y1 = self.Y[n + 1]
+        np.add(S[:, 1], np.multiply(self.f0_weight[n], self.f0, self.prod), y1)
+        y1 += np.multiply(self.fP_weight, self.fP, self.prod)
+        self._evaluate(n, t1, y1, self.fT[:, n + 1])
         return yP
 
     def trajectory(self) -> Trajectory:

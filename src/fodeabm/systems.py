@@ -105,14 +105,18 @@ def rhs_hindmarsh_rose(params: HindmarshRoseParams | None = None) -> callable:
         dy = c - d x^2 - y
         dz = r (s (x - x_rest) - z)
 
-    Autonomous: the returned function ignores t.
+    Autonomous: the returned function ignores t.  The state may be any
+    sequence of three numbers; the result is a tuple of three Python floats,
+    computed in the same double-precision operations as on numpy scalars.
     """
     p = params or HindmarshRoseParams()
     a, b, c, d = p.a, p.b, p.c, p.d
     r, s, x_rest, i_ext = p.r, p.s, p.x_rest, p.i_ext
 
     def f(t, state):
-        x, y, z = state
+        # Python floats: scalar arithmetic on them is several times cheaper
+        # than on numpy scalars, and it rounds the same way
+        x, y, z = np.asarray(state, dtype=np.float64).tolist()
         x2 = x * x
         return (
             y - a * x2 * x + b * x2 - z + i_ext,

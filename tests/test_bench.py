@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fodeabm import FractionalProblem
+from fodeabm import FractionalProblem, SolverStepError, bench
 from fodeabm.bench import (
     BenchRecord,
     idle_to_csv,
@@ -62,6 +64,62 @@ class TestSweep:
         )
         assert len(records) == 2
         assert all(r.error for r in records)
+
+    def test_cells_interleave_in_rounds(self, monkeypatch):
+        calls = []
+
+        def fake_solve(problem, strategy, n_steps, workers, chunk, stats=None):
+            calls.append((strategy, n_steps, workers))
+            return SimpleNamespace(states=np.zeros(3))
+
+        monkeypatch.setattr(bench, "solve_strategy", fake_solve)
+        records, _ = run_sweep(
+            linear_problem(),
+            n_list=(100, 200),
+            workers_list=(2, 3),
+            repetitions=2,
+        )
+        for n in (100, 200):
+            one_round = [
+                ("serial", n, 1),
+                ("block", n, 2),
+                ("block", n, 3),
+                ("reduction", n, 2),
+                ("reduction", n, 3),
+            ]
+            # one warm-up round, then the timed rounds, one N after another
+            assert calls[: 3 * len(one_round)] == one_round * 3
+            del calls[: 3 * len(one_round)]
+        assert calls == []
+        assert len(records) == 10 and not any(r.error for r in records)
+
+    def test_failing_cell_leaves_later_rounds(self, monkeypatch):
+        calls = []
+
+        def fake_solve(problem, strategy, n_steps, workers, chunk, stats=None):
+            calls.append(strategy)
+            if strategy == "block" and calls.count("block") == 2:
+                raise SolverStepError("rhs returned a non-finite value", step=7, t=0.5)
+            return SimpleNamespace(states=np.zeros(3))
+
+        monkeypatch.setattr(bench, "solve_strategy", fake_solve)
+        records, _ = run_sweep(linear_problem(), n_list=(100,), repetitions=3)
+        assert calls == ["serial", "block", "reduction"] * 2 + ["serial", "reduction"] * 2
+        by_strategy = {r.strategy: r for r in records}
+        assert "step 7" in by_strategy["block"].error
+        assert math.isnan(by_strategy["block"].wall_time_s)
+        assert not by_strategy["reduction"].error
+        assert math.isfinite(by_strategy["reduction"].speedup_vs_serial)
+
+    def test_changed_repeat_is_rejected(self, monkeypatch):
+        solves = iter(range(100))
+
+        def fake_solve(problem, strategy, n_steps, workers, chunk, stats=None):
+            return SimpleNamespace(states=np.full(3, float(next(solves))))
+
+        monkeypatch.setattr(bench, "solve_strategy", fake_solve)
+        with pytest.raises(RuntimeError, match="nondeterministic"):
+            run_sweep(linear_problem(), strategies=("serial",), n_list=(100,), repetitions=2)
 
     def test_projection_follows_square_law(self):
         records = [BenchRecord("serial", 1000, 1, None, 2.0, 3, 1.0)]

@@ -3,7 +3,9 @@ import os
 import platform
 import random
 import signal
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -255,14 +257,14 @@ class TestReductionStrategy:
         assert stats["partial_sums_sent"][1] > 0
 
 
+STRATEGY_SOLVES = {
+    "serial": solve_serial,
+    "block": lambda problem, grid: solve_block_parallel(problem, grid, 2),
+    "reduction": lambda problem, grid: solve_reduction_parallel(problem, grid, 2, chunk=4),
+}
+
 every_strategy = pytest.mark.parametrize(
-    "solve",
-    [
-        solve_serial,
-        lambda problem, grid: solve_block_parallel(problem, grid, 2),
-        lambda problem, grid: solve_reduction_parallel(problem, grid, 2, chunk=4),
-    ],
-    ids=["serial", "block", "reduction"],
+    "solve", list(STRATEGY_SOLVES.values()), ids=list(STRATEGY_SOLVES)
 )
 
 parallel_strategies = pytest.mark.parametrize(
@@ -288,17 +290,26 @@ def test_scalar_rhs_result_is_step_error(solve):
     assert "values, expected 2" in str(err.value)
 
 
-@every_strategy
-def test_raising_rhs_is_step_error(solve):
+@pytest.mark.parametrize(
+    "solve, threshold, step",
+    [
+        (solve, threshold, step)
+        for threshold, step in ((0.52, 10), (-1.0, 0))
+        for solve in STRATEGY_SOLVES.values()
+    ],
+    # the first case keeps the bare strategy ids; "t0" fails on f(0, y0)
+    ids=[name + suffix for suffix in ("", "-t0") for name in STRATEGY_SOLVES],
+)
+def test_raising_rhs_is_step_error(solve, threshold, step):
     def rhs(t, y):
-        if t > 0.52:
+        if t > threshold:
             raise TypeError("rhs gave up")
         return -y
 
     problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
     with pytest.raises(SolverStepError) as err:
         solve(problem, problem.grid(20))
-    assert err.value.step == 10
+    assert err.value.step == step
     assert isinstance(err.value.__cause__, TypeError)
 
 
@@ -390,3 +401,29 @@ def test_non_x86_machine_refused(solve, monkeypatch):
     assert type(err.value) is RuntimeError
     # a single worker never forks
     assert np.array_equal(solve(problem, grid, 1).states, solve_serial(problem, grid).states)
+
+
+@parallel_strategies
+def test_fork_with_live_thread_warns(solve):
+    # a lock held by another thread at the fork would stay held in a helper
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait, daemon=True)
+    parked.start()
+    problem = linear_problem(0.5, -1.0)
+    grid = problem.grid(64)
+    try:
+        with pytest.warns(RuntimeWarning, match="threads") as record:
+            traj = solve(problem, grid, 2)
+    finally:
+        release.set()
+        parked.join()
+    assert len(record) == 1
+    np.testing.assert_allclose(traj.states, solve_serial(problem, grid).states, rtol=1e-12)
+
+
+@parallel_strategies
+def test_fork_from_single_thread_is_silent(solve):
+    problem = linear_problem(0.5, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve(problem, problem.grid(64), 2)

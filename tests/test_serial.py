@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fodeabm import FractionalProblem, GridSpec, SolverStepError, solve_serial
+from fodeabm.core import _all_finite
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
@@ -225,3 +226,32 @@ class TestProblemValidation:
     def test_grid_times(self):
         g = GridSpec.from_horizon(2.0, 4)
         np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_every_position(self, bad):
+        for d in (1, 3, 7):
+            history = np.ones((d, 9))
+            for i in range(d):
+                vec = np.full(d, 0.5)
+                vec[i] = bad
+                assert not _all_finite(vec)
+                history[:, 4] = vec
+                column = history[:, 4]
+                assert not column.flags.c_contiguous or d == 1
+                assert not _all_finite(column)
+
+    def test_finite_vectors(self):
+        history = np.linspace(-2.0, 2.0, 3 * 9).reshape(3, 9)
+        assert _all_finite(history[:, 4])
+        assert _all_finite(np.array(history[:, 4]))
+
+    def test_overflowing_square_decided_exactly(self):
+        # 1e200 squared overflows the dot product; the exact check decides
+        vec = np.full(3, 1e200)
+        history = np.full((3, 9), -1e200)
+        with np.errstate(over="ignore"):
+            assert math.isinf(vec.dot(vec))
+            assert _all_finite(vec)
+            assert _all_finite(history[:, 4])

@@ -89,3 +89,28 @@ class TestHindmarshRose:
         p = HindmarshRoseParams()
         assert (p.a, p.b, p.c, p.d) == (1.0, 3.0, 1.0, 5.0)
         assert (p.r, p.s, p.x_rest, p.i_ext) == (0.006, 4.0, -1.6, 3.25)
+
+    def test_python_floats_bitwise_equal_to_numpy_scalar_formula(self):
+        # the rhs unpacks to Python floats; the same operations on numpy
+        # float64 scalars must round identically, whatever the state's form
+        rng = np.random.default_rng(2024)
+        for p in (HindmarshRoseParams(), HindmarshRoseParams(a=1.3, d=4.7, r=0.01, x_rest=-1.2)):
+            f = rhs_hindmarsh_rose(p)
+            columns = rng.uniform(-3.0, 3.0, size=(3, 40))
+            for j in range(columns.shape[1]):
+                col = columns[:, j]
+                x, y, z = (np.float64(v) for v in col)
+                x2 = x * x
+                want = np.array(
+                    [
+                        y - p.a * x2 * x + p.b * x2 - z + p.i_ext,
+                        p.c - p.d * x2 - y,
+                        p.r * (p.s * (x - p.x_rest) - z),
+                    ]
+                )
+                assert not col.flags.c_contiguous
+                for state in (col, np.array(col), tuple(col.tolist()), col.tolist()):
+                    got = f(0.0, state)
+                    assert isinstance(got, tuple) and len(got) == 3
+                    assert all(type(v) is float for v in got)
+                    assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
