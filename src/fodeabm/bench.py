@@ -1,12 +1,12 @@
 """Timing harness: strategy sweeps, speedups, idle counts, O(N^2) projection.
 
-A cell is one (strategy, N, P, chunk) configuration.  ``run_cell`` times one
-cell on its own (warmup solve discarded, then ``repetitions`` timed solves;
-the median is reported).  ``run_sweep`` interleaves the cells of each N in
-rounds and takes every parallel cell's speedup against the serial solve of
-the same round.  Trajectories across repetitions of a cell must be
-bitwise identical; the harness enforces that because a nondeterministic
-solver would invalidate the whole comparison.
+A cell is one (strategy, N, P, chunk) configuration.  ``run_sweep`` is the
+one timing loop: it takes each N in turn, warms every cell up once, then
+interleaves the cells in ``repetitions`` timed rounds, reports each cell's
+median, and takes every parallel cell's speedup against the serial solve of
+the same round.  Trajectories across repetitions of a cell must be bitwise
+identical; the harness enforces that because a nondeterministic solver would
+invalidate the whole comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .serial import solve_serial
 __all__ = [
     "BenchRecord",
     "solve_strategy",
-    "run_cell",
     "run_sweep",
     "records_to_csv",
     "idle_to_csv",
@@ -69,43 +68,6 @@ def solve_strategy(
     if strategy == "reduction":
         return solve_reduction_parallel(problem, grid, workers, chunk, stats=stats)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def run_cell(
-    problem: FractionalProblem,
-    strategy: str,
-    n_steps: int,
-    workers: int = 1,
-    chunk: int = 1024,
-    repetitions: int = 3,
-    warmup: bool = True,
-) -> tuple[float, dict]:
-    """Median wall time of the cell; also returns last-run instrumentation.
-
-    Raises if any repetition fails numerically or the trajectories differ
-    between repetitions.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    stats: dict = {}
-    if warmup:
-        solve_strategy(problem, strategy, n_steps, workers, chunk)
-    times = []
-    digest = None
-    for _ in range(repetitions):
-        stats = {}
-        t0 = time.perf_counter()
-        traj = solve_strategy(problem, strategy, n_steps, workers, chunk, stats)
-        times.append(time.perf_counter() - t0)
-        d = traj.states.tobytes()
-        if digest is None:
-            digest = d
-        elif d != digest:
-            raise RuntimeError(
-                f"nondeterministic trajectories across repetitions in cell "
-                f"({strategy}, N={n_steps}, P={workers}, chunk={chunk})"
-            )
-    return statistics.median(times), stats
 
 
 def run_sweep(

@@ -39,16 +39,11 @@ __all__ = ["main", "RunConfig", "build_problem"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One solver run, fully determined (no hidden state, no environment)."""
+    """The problem a command solves, fully determined (no hidden state or environment)."""
 
     system: str
     alpha: float
     t_max: float
-    n_steps: int
-    strategy: str = "serial"
-    workers: int = 2
-    chunk: int = 1024
-    output: str = "trajectory.csv"
     beta: float = 2.0
     lam: float = -1.0
     value: tuple = (0.0,)
@@ -182,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args: argparse.Namespace, config: dict, for_bench: bool) -> RunConfig:
+def _run_config_from_args(args: argparse.Namespace, config: dict) -> RunConfig:
     system = _merged(args, config, "system", str, None)
     if system is None:
         raise ValueError("--system is required")
@@ -203,25 +198,10 @@ def _run_config_from_args(args: argparse.Namespace, config: dict, for_bench: boo
         hr_params[k.strip()] = float(v)
     y0_text = _merged(args, config, "y0", str, None)
     value_text = _merged(args, config, "value", str, "0")
-    if for_bench:
-        n_steps = 0
-        strategy = "serial"
-    else:
-        n_steps = _merged(args, config, "steps", int, None)
-        if n_steps is None:
-            raise ValueError("--steps is required")
-        strategy = _merged(args, config, "strategy", str, "serial")
-    workers_text = _merged(args, config, "workers", str, "2")
-    workers = _parse_ints(workers_text)[0] if not for_bench else 2
     return RunConfig(
         system=system,
         alpha=alpha,
         t_max=tmax,
-        n_steps=n_steps,
-        strategy=strategy,
-        workers=workers,
-        chunk=_merged(args, config, "chunk", int, 1024),
-        output=_merged(args, config, "output", str, "trajectory.csv"),
         beta=_merged(args, config, "beta", float, 2.0),
         lam=_merged(args, config, "lam", float, -1.0),
         value=_parse_floats(value_text),
@@ -231,22 +211,28 @@ def _run_config_from_args(args: argparse.Namespace, config: dict, for_bench: boo
 
 
 def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
-    cfg = _run_config_from_args(args, config, for_bench=False)
-    problem = build_problem(cfg)
-    traj = solve_strategy(problem, cfg.strategy, cfg.n_steps, cfg.workers, cfg.chunk)
-    write_trajectory_csv(cfg.output, traj)
-    print(f"wrote {traj.states.shape[0]} rows to {cfg.output}")
+    cfg = _run_config_from_args(args, config)
+    n_steps = _merged(args, config, "steps", int, None)
+    if n_steps is None:
+        raise ValueError("--steps is required")
+    strategy = _merged(args, config, "strategy", str, "serial")
+    workers = _parse_ints(_merged(args, config, "workers", str, "2"))[0]
+    chunk = _merged(args, config, "chunk", int, 1024)
+    output = _merged(args, config, "output", str, "trajectory.csv")
+    traj = solve_strategy(build_problem(cfg), strategy, n_steps, workers, chunk)
+    write_trajectory_csv(output, traj)
+    print(f"wrote {traj.states.shape[0]} rows to {output}")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    cfg = _run_config_from_args(args, config, for_bench=True)
-    problem = build_problem(cfg)
+    problem = build_problem(_run_config_from_args(args, config))
     steps_text = _merged(args, config, "steps", str, "10000,20000")
     n_list = _parse_ints(str(steps_text))
     strategies_text = _merged(args, config, "strategy", str, "serial,block,reduction")
     strategies = tuple(s.strip() for s in strategies_text.split(",") if s.strip())
     workers_list = _parse_ints(_merged(args, config, "workers", str, "2"))
+    chunk = _merged(args, config, "chunk", int, 1024)
     reps = _merged(args, config, "reps", int, 3)
     output = _merged(args, config, "output", str, "bench.csv")
     idle_output = _merged(args, config, "idle_output", str, None)
@@ -256,7 +242,7 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
         strategies=strategies,
         n_list=n_list,
         workers_list=workers_list,
-        chunk=cfg.chunk,
+        chunk=chunk,
         repetitions=reps,
         log=print,
     )

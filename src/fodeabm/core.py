@@ -193,8 +193,8 @@ class FractionalProblem:
     """An initial value problem D^alpha y = f(t, y), y(0) = y0, on [0, t_end].
 
     alpha is restricted to (0, 1], so the single initial value y0 is the only
-    initial datum needed.  ``rhs(t, y)`` must return ``dim`` finite values;
-    the shape is validated on the first evaluation of each solve.
+    initial datum needed.  ``rhs(t, y)`` must return ``dim`` finite values
+    (a scalar counts as one); every evaluation is checked, f(0, y0) included.
     """
 
     alpha: float
@@ -225,25 +225,3 @@ class FractionalProblem:
     def grid(self, n_steps: int) -> GridSpec:
         """Uniform grid over this problem's horizon."""
         return GridSpec.from_horizon(self.t_end, n_steps)
-
-    def eval_rhs0(self) -> np.ndarray:
-        """Evaluate f(0, y0), validating the rhs output shape and finiteness.
-
-        An rhs that raises gives :class:`SolverStepError` at step 0, with the
-        original exception as its cause; a wrong-length result is a
-        ``ValueError``.
-        """
-        try:
-            raw = self.rhs(0.0, self.y0)
-        except Exception as exc:
-            raise SolverStepError(
-                f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=0, t=0.0
-            ) from exc
-        f0 = np.asarray(raw, dtype=np.float64).reshape(-1)
-        if f0.shape != (self.dim,):
-            raise ValueError(
-                f"rhs returned {f0.shape[0]} values, expected {self.dim}"
-            )
-        if not np.isfinite(f0).all():
-            raise SolverStepError("rhs returned a non-finite value", step=0, t=0.0)
-        return f0

@@ -44,7 +44,11 @@ from ._shm import DEFAULT_WATCHDOG_S, ERR, FAILED, RING, _Abort
 
 __all__ = ["solve_reduction_parallel"]
 
-_BIAS_TERMS = 4096  # history terms ceded by the coordinator to the helpers
+# The coordinator alone runs every step's assembly and both rhs calls, so an
+# even split of the history leaves the helpers waiting on it.  Ceding this
+# many of its terms to them pays for that assembly; without it, or with the
+# coordinator keeping only the newest chunk, the speedup drops (README).
+_BIAS_TERMS = 4096
 
 
 def _spans(m: int, workers: int, bias: int) -> list[tuple[int, int]]:
@@ -102,7 +106,6 @@ def solve_reduction_parallel(
     step = PeceStep(problem, grid, fT=_shm.shared((d, N + 1)))
     slots = _shm.shared((P, RING, d, 2))
     stat_idle = _shm.shared(P, np.int64)
-    stat_msgs = _shm.shared(P, np.int64)
     done[0] = -1
     wait = functools.partial(_shm.wait_for, ctrl, msgbuf, watchdog_s)
     spans_for = functools.lru_cache(maxsize=None)(lambda m: _spans(m, P, bias))
@@ -113,7 +116,7 @@ def solve_reduction_parallel(
         # helpers never time out on their own: they follow the coordinator's
         # progress, its error flag or its death
         wait_inf = functools.partial(_shm.wait_for, ctrl, msgbuf, math.inf, parent=coordinator)
-        sent_count = idle = 0
+        idle = 0
         try:
             with single_threaded_blas():
                 for n in range(N):
@@ -127,14 +130,12 @@ def solve_reduction_parallel(
                     wait_inf(done, 0, max(hi - 2, n - RING + 2), "published rows")
                     slots[w, n % RING] = step.history(n, lo, hi)
                     sent[w] = n + 1
-                    sent_count += 2
         except _Abort:
             pass
         except Exception as exc:  # pragma: no cover - defensive
             _shm.report_error(ctrl, msgbuf, FAILED, f"{type(exc).__name__}: {exc}")
         finally:
             stat_idle[w] = idle
-            stat_msgs[w] = sent_count
 
     procs = []
     n = 0
@@ -167,7 +168,11 @@ def solve_reduction_parallel(
 
     if stats is not None:
         stats["idle_steps"] = np.array(stat_idle)
-        stats["partial_sums_sent"] = np.array(stat_msgs)
+        # a helper sends one predictor and one corrector partial every step
+        # its span is not empty; the coordinator sends nothing
+        sent_partials = 2 * (N - stats["idle_steps"])
+        sent_partials[0] = 0
+        stats["partial_sums_sent"] = sent_partials
         stats["chunk"] = chunk
 
     return step.trajectory()

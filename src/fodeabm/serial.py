@@ -70,11 +70,11 @@ class Trajectory:
 
 
 def _length(value) -> int:
-    """Number of values an rhs returned; 0 for a scalar."""
+    """Number of values an rhs returned; a scalar counts as one."""
     try:
         return len(value)
     except TypeError:
-        return 0
+        return 1
 
 
 class PeceStep:
@@ -82,9 +82,10 @@ class PeceStep:
 
     ``Y`` is (N+1, d) and ``fT`` is (d, N+1); both are allocated unless given,
     as the parallel engines give views of their shared memory.  Construction
-    stores y_0 and f_0.  Step n is ``advance(n, S)`` where S is
-    ``history(n, 0, n + 1)`` or the sum of ``history`` over ranges that
-    partition 0..n.
+    stores y_0 and f_0, so a failing f(0, y0) is :class:`SolverStepError` at
+    step 0, checked like every later evaluation.  Step n is ``advance(n, S)``
+    where S is ``history(n, 0, n + 1)`` or the sum of ``history`` over ranges
+    that partition 0..n.
     """
 
     def __init__(
@@ -120,7 +121,7 @@ class PeceStep:
         self.Y = np.empty((N + 1, d)) if Y is None else Y
         self.fT = np.empty((d, N + 1)) if fT is None else fT
         self.Y[0] = problem.y0
-        self.fT[:, 0] = problem.eval_rhs0()
+        self._evaluate(0, 0.0, problem.y0, self.fT[:, 0])
         self.f0 = self.fT[:, 0].copy()
         self.fP = np.empty(d)
         self.prod = np.empty(d)  # scratch for the corrector's two products
@@ -146,7 +147,7 @@ class PeceStep:
         # the store above broadcasts a scalar or a single value to all d entries
         if _length(value) != self.dim:
             raise SolverStepError(
-                f"rhs returned {np.size(value)} values, expected {self.dim}", step=n, t=t
+                f"rhs returned {_length(value)} values, expected {self.dim}", step=n, t=t
             )
         if not _all_finite(out):
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)

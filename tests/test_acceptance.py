@@ -27,7 +27,7 @@ from fodeabm import (
     solve_reduction_parallel,
     solve_serial,
 )
-from fodeabm.bench import run_cell
+from fodeabm.bench import run_sweep
 from fodeabm.checks import power_law_study
 
 from conftest import (
@@ -239,9 +239,11 @@ def test_criterion_6_quadratic_scaling():
     dim = 12
     t0 = time.perf_counter()
     problem = linear_problem(alpha=0.5, lam=-1.0, y0=np.ones(dim), t_end=10.0)
-    times = {}
-    for n in (10000, 20000, 40000):
-        times[n], _ = run_cell(problem, "serial", n, repetitions=5)
+    records, _ = run_sweep(
+        problem, strategies=("serial",), n_list=(10000, 20000, 40000), repetitions=5
+    )
+    assert not [r.error for r in records if r.error]
+    times = {r.n_steps: r.wall_time_s for r in records}
     r1 = times[20000] / times[10000]
     r2 = times[40000] / times[20000]
     elapsed = time.perf_counter() - t0

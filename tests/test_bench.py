@@ -10,31 +10,31 @@ from fodeabm.bench import (
     idle_to_csv,
     project_time,
     records_to_csv,
-    run_cell,
     run_sweep,
 )
 
 from conftest import linear_problem
 
 
-class TestRunCell:
+class TestSweep:
     def test_serial_cell_times(self):
         problem = linear_problem(0.5, -1.0)
-        t, _ = run_cell(problem, "serial", 200, repetitions=2)
-        assert t > 0.0
+        records, idle_rows = run_sweep(problem, strategies=("serial",), n_list=(200,), repetitions=2)
+        (record,) = records
+        assert record.wall_time_s > 0.0 and not record.error
+        assert idle_rows == []
 
-    def test_block_cell_collects_stats(self):
+    def test_block_cell_yields_idle_rows(self):
         problem = linear_problem(0.5, -1.0)
-        t, stats = run_cell(problem, "block", 200, workers=2, repetitions=1)
-        assert t > 0.0
-        assert len(stats["idle_steps"]) == 2
+        _, idle_rows = run_sweep(
+            problem, strategies=("block",), n_list=(200,), workers_list=(2,), repetitions=1
+        )
+        assert [row["worker"] for row in idle_rows] == [0, 1]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            run_cell(linear_problem(), "magic", 100)
+            run_sweep(linear_problem(), strategies=("magic",), n_list=(100,), repetitions=1)
 
-
-class TestSweep:
     def test_speedups_and_schema(self):
         problem = linear_problem(0.5, -1.0)
         records, idle_rows = run_sweep(

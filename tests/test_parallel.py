@@ -22,6 +22,8 @@ from fodeabm import (
     solve_serial,
 )
 
+from fodeabm.systems import rhs_constant
+
 from conftest import constant_problem, hr_problem, linear_problem, power_problem, sup_rel_dev
 
 
@@ -288,6 +290,34 @@ def test_scalar_rhs_result_is_step_error(solve):
         solve(problem, problem.grid(20))
     assert err.value.step == 10  # t_{n+1} = 0.55 is the first time past 0.52
     assert "values, expected 2" in str(err.value)
+
+
+@every_strategy
+def test_scalar_rhs_counts_as_one_value(solve):
+    def solved(rhs):
+        problem = FractionalProblem(alpha=0.6, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+        traj = solve(problem, problem.grid(20))
+        return traj.states.tobytes() + traj.f_cache.tobytes()
+
+    assert solved(lambda t, y: -y[0]) == solved(lambda t, y: (-y[0],))
+
+
+@every_strategy
+@pytest.mark.parametrize(
+    "dim, rhs",
+    [
+        (2, rhs_constant([0.0])),
+        (3, lambda t, y: -y.reshape(3, 1)),
+        (1, lambda t, y: (float("nan"),)),
+    ],
+    ids=["short", "column", "nonfinite"],
+)
+def test_malformed_f0_is_step_error(solve, dim, rhs):
+    # f(0, y0) is checked like every later evaluation, not reshaped
+    problem = FractionalProblem(alpha=0.6, dim=dim, rhs=rhs, y0=np.ones(dim), t_end=1.0)
+    with pytest.raises(SolverStepError) as err:
+        solve(problem, problem.grid(20))
+    assert err.value.step == 0 and err.value.t == 0.0
 
 
 @pytest.mark.parametrize(

@@ -216,8 +216,10 @@ class TestProblemValidation:
         problem = FractionalProblem(
             alpha=0.5, dim=2, rhs=rhs_constant([0.0]), y0=[0.0, 0.0], t_end=1.0
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverStepError) as err:
             solve_serial(problem, problem.grid(4))
+        assert err.value.step == 0
+        assert "1 values, expected 2" in str(err.value)
 
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
