@@ -91,6 +91,9 @@ def run_sweep(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
     records: list[BenchRecord] = []
     idle_rows: list[dict] = []
     cells = [("serial", 1)] + [

@@ -98,8 +98,12 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+def _parse_list(text: str, flag: str, cast=int) -> tuple:
+    """A comma list of at least one value."""
+    values = tuple(cast(x.strip()) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def load_config_file(path: str) -> dict:
@@ -216,10 +220,12 @@ def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
     if n_steps is None:
         raise ValueError("--steps is required")
     strategy = _merged(args, config, "strategy", str, "serial")
-    workers = _parse_ints(_merged(args, config, "workers", str, "2"))[0]
+    workers = _parse_list(_merged(args, config, "workers", str, "2"), "--workers")
+    if len(workers) != 1:
+        raise ValueError(f"solve --workers takes one count, got {','.join(map(str, workers))}")
     chunk = _merged(args, config, "chunk", int, 1024)
     output = _merged(args, config, "output", str, "trajectory.csv")
-    traj = solve_strategy(build_problem(cfg), strategy, n_steps, workers, chunk)
+    traj = solve_strategy(build_problem(cfg), strategy, n_steps, workers[0], chunk)
     write_trajectory_csv(output, traj)
     print(f"wrote {traj.states.shape[0]} rows to {output}")
     return 0
@@ -228,10 +234,10 @@ def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
 def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     problem = build_problem(_run_config_from_args(args, config))
     steps_text = _merged(args, config, "steps", str, "10000,20000")
-    n_list = _parse_ints(str(steps_text))
+    n_list = _parse_list(str(steps_text), "--steps")
     strategies_text = _merged(args, config, "strategy", str, "serial,block,reduction")
-    strategies = tuple(s.strip() for s in strategies_text.split(",") if s.strip())
-    workers_list = _parse_ints(_merged(args, config, "workers", str, "2"))
+    strategies = _parse_list(strategies_text, "--strategy", str)
+    workers_list = _parse_list(_merged(args, config, "workers", str, "2"), "--workers")
     chunk = _merged(args, config, "chunk", int, 1024)
     reps = _merged(args, config, "reps", int, 3)
     output = _merged(args, config, "output", str, "bench.csv")

@@ -12,32 +12,30 @@ store that announces it, and every counter has a single writer at any time.
 This relies on the total-store-order semantics of x86-64 (and the cache
 coherence of a single host); no fences are issued from Python, so
 :func:`fork_processes` refuses any other machine.
+
+No error travels through shared memory.  Each wait is given a ``stopped``
+test for the process it depends on, and an exception is raised where it
+happens.  The coordinator's exceptions reach the caller; on its way out it
+sets a shared stop word, which its helpers' waits test along with their
+parent pid.  An exception in a helper ends that process with exit code 1,
+and the coordinator's next wait on the helper sees the exit.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
 import platform
 import threading
 import time
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 import multiprocessing as mp
 
 import numpy as np
 
-from ..core import SolverStepError, StrategyTimeoutError
-
-# control-word indices
-ERR = 0        # 0 ok, else FAILED or TIMED_OUT
-MSG_LEN = 1
-
-# error kinds
-FAILED = 1     # a process stopped on an exception
-TIMED_OUT = 2  # a wait outlived its watchdog
+from ..core import StrategyTimeoutError
 
 _CACHE_LINE = 64
 _SPIN_MASK = 255  # spin iterations between slow-path checks
@@ -47,8 +45,8 @@ RING = 256  # partial-sum slots per sender; senders may lead the consumer by thi
 _X86_64 = ("x86_64", "AMD64")
 
 
-class _Abort(Exception):
-    """Internal: raised inside spin loops when the shared error flag is set."""
+class Stopped(Exception):
+    """Internal: the process a wait depends on has stopped for good."""
 
 
 def shared(shape: int | Sequence[int], dtype=np.float64) -> np.ndarray:
@@ -67,72 +65,26 @@ def counters(count: int) -> np.ndarray:
     return shared((count, _CACHE_LINE // 8), np.int64)[:, 0]
 
 
-def report_error(ctrl: np.ndarray, msgbuf: np.ndarray, kind: int, text: str) -> None:
-    """Publish an error from any process; first writer wins."""
-    if ctrl[ERR] != 0:
-        return
-    data = text.encode("utf-8", "replace")[: len(msgbuf)]
-    msgbuf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    ctrl[MSG_LEN] = len(data)
-    ctrl[ERR] = kind
-
-
-def raise_shared_error(ctrl: np.ndarray, msgbuf: np.ndarray, step: int, h: float) -> None:
-    """Map the shared error state to the public exception types.
-
-    ``step`` is the step the coordinator could not complete.
-    """
-    msg = bytes(msgbuf[: ctrl[MSG_LEN]]).decode("utf-8", "replace")
-    if ctrl[ERR] == TIMED_OUT:
-        raise StrategyTimeoutError(msg)
-    raise SolverStepError(f"worker failed: {msg}", step=step, t=(step + 1) * h)
-
-
-def spin_tick(
-    ctrl: np.ndarray,
-    msgbuf: np.ndarray,
-    deadline: float,
-    waited_iters: int,
-    label: str,
-    parent: int = 0,
-) -> None:
-    """Slow path of a spin loop: abort on shared errors, time out, and yield.
-
-    A helper passes the coordinator's pid as ``parent`` and aborts once its
-    parent pid differs: the coordinator died and the helper was re-parented.
-
-    Call every few hundred iterations; pure spinning between calls keeps the
-    fast path at sub-microsecond latency.  Yielding starts only after the
-    wait is clearly long: when every worker has its own core the awaited
-    value arrives within microseconds, and an eager sched_yield would hand
-    the core to an unrelated process and turn a microsecond wait into a
-    scheduler timeslice.
-    """
-    if ctrl[ERR] != 0 or (parent and os.getppid() != parent):
-        raise _Abort()
-    if time.monotonic() >= deadline:
-        report_error(ctrl, msgbuf, TIMED_OUT, f"no progress while waiting for {label}")
-        raise _Abort()
-    if waited_iters > 1 << 11:  # past the microsecond-scale waits of a healthy run
-        time.sleep(0 if waited_iters < 1 << 20 else 5e-5)
-
-
 def wait_for(
-    ctrl: np.ndarray,
-    msgbuf: np.ndarray,
-    timeout_s: float,
     counters: np.ndarray,
     i: int,
     target: int,
-    label: str,
-    parent: int = 0,
+    stopped: Callable[[], bool],
+    timeout_s: float = math.inf,
+    label: str = "",
 ) -> None:
     """Spin until ``counters[i] >= target``: the receive side of the protocol.
 
-    Raises :class:`_Abort` on the shared error flag or when ``parent`` is
-    given and is no longer the parent process, and reports a watchdog error
-    after ``timeout_s`` seconds without the awaited value (``math.inf``
-    waits for as long as neither happens).
+    Every few hundred iterations the slow path runs: it raises
+    :class:`Stopped` when ``stopped()`` holds and the counter, read again
+    after it, is still short (a writer publishes before it stops), and
+    :class:`StrategyTimeoutError` after ``timeout_s`` seconds without the
+    awaited value.  Pure spinning between checks keeps the fast path at
+    sub-microsecond latency.  Yielding starts only after the wait is
+    clearly long: when every worker has its own core the awaited value
+    arrives within microseconds, and an eager sched_yield would hand the
+    core to an unrelated process and turn a microsecond wait into a
+    scheduler timeslice.
     """
     it = 0
     deadline = 0.0
@@ -141,7 +93,12 @@ def wait_for(
         if not it & _SPIN_MASK:
             if deadline == 0.0:
                 deadline = time.monotonic() + timeout_s
-            spin_tick(ctrl, msgbuf, deadline, it, label, parent)
+            if stopped() and counters[i] < target:
+                raise Stopped()
+            if time.monotonic() >= deadline:
+                raise StrategyTimeoutError(f"no progress while waiting for {label}")
+            if it > 1 << 11:  # past the microsecond-scale waits of a healthy run
+                time.sleep(0 if it < 1 << 20 else 5e-5)
 
 
 def fork_processes(target, worker_ids: Sequence[int]) -> list:
@@ -184,7 +141,7 @@ def fork_processes(target, worker_ids: Sequence[int]) -> list:
 
 
 def shutdown(procs, grace_s: float = 5.0) -> None:
-    """Join workers, killing any that ignore the stop flag.
+    """Join workers, killing any that ignore the stop word.
 
     SIGKILL, because a stopped process leaves SIGTERM pending and would
     never be joined.

@@ -1,10 +1,11 @@
 """Contiguous block partition of time steps across workers.
 
 Worker p owns the step indices [p*B, (p+1)*B) clipped to [0, N), where
-B = ceil(N/P).  The owner of step n assembles that step; workers whose block
-lies below the owner contribute partial history sums; workers whose block
-lies above have nothing to do yet and sit idle.  That idleness is inherent
-to the block algorithm and is reported, not optimised away.
+B = ceil(N/P).  The coordinator assembles every step and sums the owner's
+range [lo, n] of step n itself; workers whose block lies below the owner
+contribute partial history sums; workers whose block lies above have
+nothing to do yet and sit idle.  That idleness is inherent to the block
+algorithm and is reported, not optimised away.
 """
 
 from __future__ import annotations

@@ -22,7 +22,11 @@ bitwise identical to it.  The coordinator cedes ``_BIAS_TERMS`` history
 terms of its even share to the helpers to pay for the assembly; the
 ceded count depends only on the chunk width.  The rhs and the assembly run
 in the calling process only, so an rhs fails here exactly as in the serial
-solver.
+solver.  A helper that exits before it sends an awaited partial (an
+exception, a kill) is :class:`SolverStepError` at the step the coordinator
+could not complete, reported as soon as the coordinator waits on it; a
+helper that lives but stops answering trips the ``watchdog_s`` timeout
+(:class:`StrategyTimeoutError`).
 
 A helper whose span of a step is empty skips it; those steps are its
 ``idle_steps``.
@@ -31,16 +35,15 @@ A helper whose span of a step is empty skips it; those steps are its
 from __future__ import annotations
 
 import functools
-import math
 import os
 
 import numpy as np
 
 from .._threads import single_threaded_blas
-from ..core import FractionalProblem, GridSpec
+from ..core import FractionalProblem, GridSpec, SolverStepError
 from ..serial import PeceStep, Trajectory
 from . import _shm
-from ._shm import DEFAULT_WATCHDOG_S, ERR, FAILED, RING, _Abort
+from ._shm import DEFAULT_WATCHDOG_S, RING
 
 __all__ = ["solve_reduction_parallel"]
 
@@ -99,50 +102,47 @@ def solve_reduction_parallel(
     P = n_workers
     bias = round(_BIAS_TERMS / chunk)
 
-    ctrl = _shm.shared(2, np.int64)
+    stop = _shm.shared(1, np.int64)     # set by the coordinator on its way out
     done = _shm.counters(1)             # last step whose f_{n+1} is published
     sent = _shm.counters(P)             # helper progress, one per worker
-    msgbuf = _shm.shared(512, np.uint8)
     step = PeceStep(problem, grid, fT=_shm.shared((d, N + 1)))
     slots = _shm.shared((P, RING, d, 2))
-    stat_idle = _shm.shared(P, np.int64)
     done[0] = -1
-    wait = functools.partial(_shm.wait_for, ctrl, msgbuf, watchdog_s)
     spans_for = functools.lru_cache(maxsize=None)(lambda m: _spans(m, P, bias))
 
     coordinator = os.getpid()
 
+    def stopped() -> bool:
+        return stop[0] != 0 or os.getppid() != coordinator
+
     def helper(w: int) -> None:
         # helpers never time out on their own: they follow the coordinator's
-        # progress, its error flag or its death
-        wait_inf = functools.partial(_shm.wait_for, ctrl, msgbuf, math.inf, parent=coordinator)
-        idle = 0
+        # progress, its stop word or its death
         try:
             with single_threaded_blas():
                 for n in range(N):
                     j0, j1 = spans_for(n // chunk + 1)[w]
                     if j0 == j1:
-                        idle += 1
                         continue
                     lo, hi = j0 * chunk, j1 * chunk
                     # f_{hi-1} is published with step hi-2; the slot is free
                     # once the coordinator has consumed step n - RING
-                    wait_inf(done, 0, max(hi - 2, n - RING + 2), "published rows")
+                    _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), stopped)
                     slots[w, n % RING] = step.history(n, lo, hi)
                     sent[w] = n + 1
-        except _Abort:
+        except _shm.Stopped:
             pass
-        except Exception as exc:  # pragma: no cover - defensive
-            _shm.report_error(ctrl, msgbuf, FAILED, f"{type(exc).__name__}: {exc}")
-        finally:
-            stat_idle[w] = idle
 
     procs = []
-    n = 0
+    n = w = 0
     try:
         with single_threaded_blas():
             if P > 1:
                 procs = _shm.fork_processes(helper, range(1, P))
+            # a helper exits with code 0 once it has sent its last partial,
+            # possibly while another is still awaited, so only the awaited
+            # helper's exit counts
+            exited = [None] + [lambda p=p: p.exitcode is not None for p in procs]
             for n in range(N):
                 spans = spans_for(n // chunk + 1)
                 S = step.history(n, spans[0][0] * chunk, n + 1)
@@ -150,27 +150,33 @@ def solve_reduction_parallel(
                 for w in range(1, P):
                     j0, j1 = spans[w]
                     if j1 > j0:
-                        wait(sent, w, n + 1, "helper partials")
+                        _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
                         S += slots[w, ring]
                 step.advance(n, S)
                 done[0] = n
-    except _Abort:
-        pass
-    except BaseException:
-        # release helpers waiting for steps that will never be published
-        _shm.report_error(ctrl, msgbuf, FAILED, "coordinator stopped")
-        raise
+    except _shm.Stopped:
+        raise SolverStepError(
+            f"worker failed: helper {w} exited with code {procs[w - 1].exitcode}",
+            step=n,
+            t=(n + 1) * grid.h,
+        ) from None
     finally:
+        # release helpers waiting for steps that will never be published
+        stop[0] = 1
         _shm.shutdown(procs)
 
-    if ctrl[ERR] != 0:
-        _shm.raise_shared_error(ctrl, msgbuf, n, grid.h)
-
     if stats is not None:
-        stats["idle_steps"] = np.array(stat_idle)
+        # a worker idles on the steps whose span for it is empty; the steps
+        # with m chunks are [(m-1)*chunk, m*chunk) cut at N
+        idle = np.zeros(P, np.int64)
+        for m in range(1, (N - 1) // chunk + 2):
+            for v, (j0, j1) in enumerate(spans_for(m)):
+                if j0 == j1:
+                    idle[v] += min(chunk, N - (m - 1) * chunk)
+        stats["idle_steps"] = idle
         # a helper sends one predictor and one corrector partial every step
         # its span is not empty; the coordinator sends nothing
-        sent_partials = 2 * (N - stats["idle_steps"])
+        sent_partials = 2 * (N - idle)
         sent_partials[0] = 0
         stats["partial_sums_sent"] = sent_partials
         stats["chunk"] = chunk

@@ -139,15 +139,18 @@ class PeceStep:
         """f(t, y) into ``out``, checked for failure, length and finiteness."""
         try:
             value = self.rhs(t, y)
-            out[:] = value
+            count = _length(value)
+            # counted first: the store would broadcast a single value to all
+            # d entries and blame any other wrong length on the call
+            if count == self.dim:
+                out[:] = value
         except Exception as exc:
             raise SolverStepError(
                 f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=n, t=t
             ) from exc
-        # the store above broadcasts a scalar or a single value to all d entries
-        if _length(value) != self.dim:
+        if count != self.dim:
             raise SolverStepError(
-                f"rhs returned {_length(value)} values, expected {self.dim}", step=n, t=t
+                f"rhs returned {count} values, expected {self.dim}", step=n, t=t
             )
         if not _all_finite(out):
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)

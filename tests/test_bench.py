@@ -32,8 +32,17 @@ class TestSweep:
         assert [row["worker"] for row in idle_rows] == [0, 1]
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            run_sweep(linear_problem(), strategies=("magic",), n_list=(100,), repetitions=1)
+        # rejected before any solve, so not one rhs call is spent on it
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+        with pytest.raises(ValueError, match="unknown strategy 'magic'"):
+            run_sweep(problem, strategies=("magic",), n_list=(500,), repetitions=1)
+        assert calls == []
 
     def test_speedups_and_schema(self):
         problem = linear_problem(0.5, -1.0)

@@ -181,6 +181,31 @@ class TestBench:
         assert "projected serial time" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--workers", ""),
+        ("solve", "--workers", "2,4"),
+        ("bench", "--steps", ""),
+        ("bench", "--workers", ""),
+        ("bench", "--strategy", ","),
+    ],
+    ids=["solve-workers-empty", "solve-workers-list", "bench-steps-empty", "bench-workers-empty", "bench-strategy-empty"],
+)
+def test_list_flag_is_config_error(tmp_path, capsys, command, flag, value):
+    # an empty list, or a list where solve takes one count, is refused
+    # before anything is solved or written
+    out = tmp_path / "out.csv"
+    args = [command, "--system", "linear", "--alpha", "0.5", "--tmax", "1.0", "--output", str(out)]
+    if flag != "--steps":
+        args += ["--steps", "16"]
+    rc = run_cli(args + [flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and flag in err
+    assert not out.exists()
+
+
 class TestVerify:
     def test_verify_passes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -22,6 +22,7 @@ from fodeabm import (
     solve_serial,
 )
 
+from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
 from conftest import constant_problem, hr_problem, linear_problem, power_problem, sup_rel_dev
@@ -304,20 +305,23 @@ def test_scalar_rhs_counts_as_one_value(solve):
 
 @every_strategy
 @pytest.mark.parametrize(
-    "dim, rhs",
+    "dim, rhs, reason",
     [
-        (2, rhs_constant([0.0])),
-        (3, lambda t, y: -y.reshape(3, 1)),
-        (1, lambda t, y: (float("nan"),)),
+        (2, rhs_constant([0.0]), "rhs returned 1 values, expected 2"),
+        (3, lambda t, y: -y.reshape(3, 1), "rhs evaluation failed: ValueError"),
+        (1, lambda t, y: (float("nan"),), "rhs returned a non-finite value"),
+        (2, lambda t, y: (1.0, 2.0, 3.0), "rhs returned 3 values, expected 2"),
     ],
-    ids=["short", "column", "nonfinite"],
+    ids=["short", "column", "nonfinite", "long"],
 )
-def test_malformed_f0_is_step_error(solve, dim, rhs):
-    # f(0, y0) is checked like every later evaluation, not reshaped
+def test_malformed_f0_is_step_error(solve, dim, rhs, reason):
+    # f(0, y0) is checked like every later evaluation, not reshaped; the
+    # count is checked before the store, so a wrong length is named as such
     problem = FractionalProblem(alpha=0.6, dim=dim, rhs=rhs, y0=np.ones(dim), t_end=1.0)
     with pytest.raises(SolverStepError) as err:
         solve(problem, problem.grid(20))
     assert err.value.step == 0 and err.value.t == 0.0
+    assert err.value.reason.startswith(reason)
 
 
 @pytest.mark.parametrize(
@@ -369,6 +373,52 @@ def test_watchdog_breaks_hang(solve):
                 pass
     assert stopped
     assert time.monotonic() - t0 < 20.0
+    assert multiprocessing.active_children() == []
+
+
+@parallel_strategies
+def test_killed_helper_is_step_error(solve):
+    # a helper that dies is seen at the coordinator's next wait on it, not
+    # after the watchdog (60 s by default)
+    killed = []
+
+    def rhs(t, y):
+        if t > 0.5 and not killed:
+            killed.extend(p.pid for p in multiprocessing.active_children())
+            for pid in killed:
+                os.kill(pid, signal.SIGKILL)
+        return -y
+
+    problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+    t0 = time.monotonic()
+    with pytest.raises(SolverStepError, match="worker failed: helper 1 exited with code -9"):
+        solve(problem, problem.grid(2000), 2)
+    assert killed
+    assert time.monotonic() - t0 < 5.0
+    assert multiprocessing.active_children() == []
+
+
+@parallel_strategies
+def test_raising_helper_is_step_error(solve, monkeypatch):
+    # the helper's exception ends it with exit code 1; the coordinator
+    # reports the first step that needs the helper's partial
+    problem = linear_problem(0.5, -1.0)
+    grid = problem.grid(300)
+    stats = {}
+    solve(problem, grid, 2, stats=stats)
+    first_helper_step = int(stats["idle_steps"][1])
+    coordinator = os.getpid()
+    history = PeceStep.history
+
+    def failing(self, n, lo, hi):
+        if os.getpid() != coordinator:
+            raise RuntimeError("helper gave up")
+        return history(self, n, lo, hi)
+
+    monkeypatch.setattr(PeceStep, "history", failing)
+    with pytest.raises(SolverStepError, match="worker failed: helper 1 exited with code 1") as err:
+        solve(problem, grid, 2)
+    assert err.value.step == first_helper_step
     assert multiprocessing.active_children() == []
 
 
