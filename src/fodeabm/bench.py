@@ -16,10 +16,11 @@ import io
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
 from .parallel import solve_block_parallel, solve_reduction_parallel
+from .parallel.reduction import check_config
 from .serial import solve_serial
 
 __all__ = [
@@ -28,10 +29,12 @@ __all__ = [
     "run_sweep",
     "records_to_csv",
     "idle_to_csv",
+    "write_csv",
     "project_time",
 ]
 
 STRATEGIES = ("serial", "block", "reduction")
+IDLE_FIELDS = ("strategy", "n_steps", "workers", "worker", "idle_steps", "messages_sent")
 
 
 @dataclass(frozen=True)
@@ -88,20 +91,30 @@ def run_sweep(
     must be bitwise identical across a cell's solves.  Returns the records
     plus per-cell idle-count rows for the block strategy.  A numerically
     failing cell is recorded with its error and leaves the later rounds.
+    A repeated value, an unknown strategy or a cell the engines refuse is
+    a ValueError before the first solve, named in ``fodeabm bench`` flags.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    for flag, values in (("--strategy", strategies), ("--steps", n_list), ("--workers", workers_list)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
     records: list[BenchRecord] = []
     idle_rows: list[dict] = []
-    cells = [("serial", 1)] + [
-        (strategy, workers)
-        for strategy in strategies
-        if strategy != "serial"
-        for workers in workers_list
-    ]
+    cells = [("serial", 1)] + [(s, w) for s in strategies if s != "serial" for w in workers_list]
+    for n_steps in n_list:
+        problem.grid(n_steps)
+        for strategy, workers in cells[1:]:
+            # block runs the reduction engine at chunk ceil(N/P) >= 1
+            reduction = strategy == "reduction"
+            try:
+                check_config(n_steps, workers, chunk if reduction else 1)
+            except ValueError as exc:
+                flags = f"--steps {n_steps} --workers {workers}" + (f" --chunk {chunk}" if reduction else "")
+                raise ValueError(f"{strategy} at {flags}: {exc}") from None
     for n_steps in n_list:
         times: dict = {cell: [] for cell in cells}
         digests: dict = {}
@@ -149,17 +162,10 @@ def run_sweep(
             if log:
                 log(f"{label} {t:8.3f}s" + ("" if strategy == "serial" else f"  speedup {speedup:5.2f}"))
             if strategy == "block" and "idle_steps" in stats[cell]:
+                sent = stats[cell]["partial_sums_sent"]
                 for w, idle in enumerate(stats[cell]["idle_steps"]):
-                    idle_rows.append(
-                        {
-                            "strategy": strategy,
-                            "n_steps": n_steps,
-                            "workers": workers,
-                            "worker": w,
-                            "idle_steps": int(idle),
-                            "messages_sent": int(stats[cell]["partial_sums_sent"][w]),
-                        }
-                    )
+                    row = (strategy, n_steps, workers, w, int(idle), int(sent[w]))
+                    idle_rows.append(dict(zip(IDLE_FIELDS, row)))
     return records, idle_rows
 
 
@@ -175,34 +181,25 @@ def project_time(records: list[BenchRecord], n_target: int) -> float | None:
     return biggest.wall_time_s * (n_target / biggest.n_steps) ** 2
 
 
-def records_to_csv(records: list[BenchRecord]) -> str:
+def write_csv(fh, header, rows) -> None:
+    """A header line, then one line per row.
+
+    Floats keep 17 significant digits, so they round-trip; None is blank.
+    """
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _csv_text(header, rows) -> str:
     out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(
-        ["strategy", "n_steps", "workers", "chunk", "wall_time_s", "repetitions", "speedup_vs_serial", "error"]
-    )
-    for r in records:
-        w.writerow(
-            [
-                r.strategy,
-                r.n_steps,
-                r.workers,
-                "" if r.chunk is None else r.chunk,
-                f"{r.wall_time_s:.17g}",
-                r.repetitions,
-                f"{r.speedup_vs_serial:.17g}",
-                r.error,
-            ]
-        )
+    write_csv(out, header, rows)
     return out.getvalue()
+
+
+def records_to_csv(records: list[BenchRecord]) -> str:
+    return _csv_text([f.name for f in fields(BenchRecord)], map(astuple, records))
 
 
 def idle_to_csv(idle_rows: list[dict]) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["strategy", "n_steps", "workers", "worker", "idle_steps", "messages_sent"])
-    for row in idle_rows:
-        w.writerow(
-            [row["strategy"], row["n_steps"], row["workers"], row["worker"], row["idle_steps"], row["messages_sent"]]
-        )
-    return out.getvalue()
+    return _csv_text(IDLE_FIELDS, ([row[k] for k in IDLE_FIELDS] for row in idle_rows))

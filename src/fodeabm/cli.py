@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .bench import (
     STRATEGIES,
@@ -21,6 +18,7 @@ from .bench import (
     records_to_csv,
     run_sweep,
     solve_strategy,
+    write_csv,
 )
 from .checks import run_verification_suite
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
@@ -34,68 +32,43 @@ from .systems import (
     rhs_power_law,
 )
 
-__all__ = ["main", "RunConfig", "build_problem"]
+__all__ = ["main", "build_problem"]
+
+# Built-in defaults, one table per command; the config file and then the
+# flags replace them.  None leaves a setting unset: system, alpha, tmax and
+# solve's steps are required.  A value keeps the type it came with (config
+# text, typed flag) and is cast where it is read.
+_PROBLEM = dict(system=None, alpha=None, tmax=None, beta=2.0, lam=-1.0, value="0", y0=None, hr_param=())
+_DEFAULTS = {
+    "solve": dict(_PROBLEM, steps=None, strategy="serial", workers="2", chunk=1024, output="trajectory.csv"),
+    "bench": dict(
+        _PROBLEM, steps="10000,20000", strategy=",".join(STRATEGIES), workers="2", chunk=1024,
+        reps=3, output="bench.csv", idle_output=None, project=1_000_000,
+    ),
+    "verify": dict(output="verify_report.csv"),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The problem a command solves, fully determined (no hidden state or environment)."""
+def _settings(args: argparse.Namespace, config: dict) -> dict:
+    """The command's settings: built-in default, then config file, then explicit flag.
 
-    system: str
-    alpha: float
-    t_max: float
-    beta: float = 2.0
-    lam: float = -1.0
-    value: tuple = (0.0,)
-    y0: tuple | None = None
-    hr_params: dict | None = None
-
-
-def build_problem(cfg: RunConfig) -> FractionalProblem:
-    """Materialise the rhs and initial data named by a run configuration."""
-    if cfg.system == "constant":
-        value = np.asarray(cfg.value, dtype=float).reshape(-1)
-        y0 = cfg.y0 if cfg.y0 is not None else np.zeros_like(value)
-        return FractionalProblem(
-            alpha=cfg.alpha, dim=len(value), rhs=rhs_constant(value), y0=y0, t_end=cfg.t_max
-        )
-    if cfg.system == "power-law":
-        y0 = cfg.y0 if cfg.y0 is not None else [0.0]
-        return FractionalProblem(
-            alpha=cfg.alpha,
-            dim=1,
-            rhs=rhs_power_law(cfg.alpha, cfg.beta),
-            y0=y0,
-            t_end=cfg.t_max,
-        )
-    if cfg.system == "linear":
-        y0 = cfg.y0 if cfg.y0 is not None else [1.0]
-        y0 = np.asarray(y0, dtype=float).reshape(-1)
-        return FractionalProblem(
-            alpha=cfg.alpha, dim=len(y0), rhs=rhs_linear(cfg.lam), y0=y0, t_end=cfg.t_max
-        )
-    if cfg.system == "hindmarsh-rose":
-        params = HindmarshRoseParams(**(cfg.hr_params or {}))
-        y0 = cfg.y0 if cfg.y0 is not None else HR_DEFAULT_Y0
-        return FractionalProblem(
-            alpha=cfg.alpha, dim=3, rhs=rhs_hindmarsh_rose(params), y0=y0, t_end=cfg.t_max
-        )
-    raise ValueError(f"unknown system {cfg.system!r}; choose from {', '.join(SYSTEM_NAMES)}")
+    ``hr_param`` is one NAME=VALUE in a config file and a list from flags;
+    the flags replace the config's value rather than add to it.
+    """
+    settings = dict(_DEFAULTS[args.command])
+    for key in settings:
+        flag = getattr(args, key)
+        if flag is not None:
+            settings[key] = flag
+        elif key in config:
+            settings[key] = [config[key]] if key == "hr_param" else config[key]
+    return settings
 
 
-def write_trajectory_csv(path: str, traj) -> None:
-    """Header t,y0,..,y{d-1}; 17 significant digits so values round-trip."""
-    d = traj.dim
-    t = traj.t
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"y{i}" for i in range(d)) + "\n")
-        for row in range(len(t)):
-            vals = ",".join(f"{v:.17g}" for v in traj.states[row])
-            fh.write(f"{t[row]:.17g},{vals}\n")
-
-
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+def _required(settings: dict, key: str, note: str = ""):
+    if settings[key] is None:
+        raise ValueError(f"--{key} is required{note}")
+    return settings[key]
 
 
 def _parse_list(text: str, flag: str, cast=int) -> tuple:
@@ -104,6 +77,52 @@ def _parse_list(text: str, flag: str, cast=int) -> tuple:
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values
+
+
+def build_problem(settings: dict) -> FractionalProblem:
+    """Materialise the rhs and initial data named by a command's settings."""
+    system = _required(settings, "system")
+    alpha = float(_required(settings, "alpha", " (no default is assumed)"))
+    t_max = float(_required(settings, "tmax"))
+    hr_params = {}
+    for item in settings["hr_param"]:
+        if "=" not in item:
+            raise ValueError(f"--hr-param expects NAME=VALUE, got {item!r}")
+        k, v = item.split("=", 1)
+        hr_params[k.strip()] = float(v)
+    beta = float(settings["beta"])
+    lam = float(settings["lam"])
+    value = _parse_list(settings["value"], "--value", float)
+    y0 = settings["y0"]
+    if y0 is not None:
+        y0 = _parse_list(y0, "--y0", float)
+    if system == "constant":
+        y0 = (0.0,) * len(value) if y0 is None else y0
+        return FractionalProblem(alpha, len(value), rhs_constant(value), y0, t_max)
+    if system == "power-law":
+        y0 = (0.0,) if y0 is None else y0
+        return FractionalProblem(alpha, 1, rhs_power_law(alpha, beta), y0, t_max)
+    if system == "linear":
+        y0 = (1.0,) if y0 is None else y0
+        return FractionalProblem(alpha, len(y0), rhs_linear(lam), y0, t_max)
+    if system == "hindmarsh-rose":
+        y0 = HR_DEFAULT_Y0 if y0 is None else y0
+        params = HindmarshRoseParams(**hr_params)
+        return FractionalProblem(alpha, 3, rhs_hindmarsh_rose(params), y0, t_max)
+    raise ValueError(f"unknown system {system!r}; choose from {', '.join(SYSTEM_NAMES)}")
+
+
+def write_trajectory_csv(path: str, traj) -> None:
+    """Header t,y0,..,y{d-1}; 17 significant digits so values round-trip."""
+    header = ["t"] + [f"y{i}" for i in range(traj.dim)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # Python floats: formatting numpy scalars is about a third slower
+        write_csv(fh, header, ([t, *y] for t, y in zip(traj.t.tolist(), traj.states.tolist())))
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def load_config_file(path: str) -> dict:
@@ -119,16 +138,6 @@ def load_config_file(path: str) -> dict:
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def _merged(args: argparse.Namespace, config: dict, key: str, cast, fallback):
-    """Explicit flag > config file > built-in default."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in config:
-        return cast(config[key])
-    return fallback
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--hr-param",
             action="append",
-            default=None,
             metavar="NAME=VALUE",
             help="override a Hindmarsh-Rose constant (repeatable)",
         )
@@ -170,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, help="timed repetitions per cell (default 3)")
     p_bench.add_argument("--idle-output", help="per-worker idle-count CSV (block strategy)")
     p_bench.add_argument(
-        "--project", type=int, default=None, metavar="N",
+        "--project", type=int, metavar="N",
         help="also print the O(N^2) extrapolated serial time for this N",
     )
 
@@ -181,86 +189,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args: argparse.Namespace, config: dict) -> RunConfig:
-    system = _merged(args, config, "system", str, None)
-    if system is None:
-        raise ValueError("--system is required")
-    alpha = _merged(args, config, "alpha", float, None)
-    if alpha is None:
-        raise ValueError("--alpha is required (no default is assumed)")
-    tmax = _merged(args, config, "tmax", float, None)
-    if tmax is None:
-        raise ValueError("--tmax is required")
-    hr_items = getattr(args, "hr_param", None) or (
-        [config["hr_param"]] if "hr_param" in config else []
-    )
-    hr_params = {}
-    for item in hr_items:
-        if "=" not in item:
-            raise ValueError(f"--hr-param expects NAME=VALUE, got {item!r}")
-        k, v = item.split("=", 1)
-        hr_params[k.strip()] = float(v)
-    y0_text = _merged(args, config, "y0", str, None)
-    value_text = _merged(args, config, "value", str, "0")
-    return RunConfig(
-        system=system,
-        alpha=alpha,
-        t_max=tmax,
-        beta=_merged(args, config, "beta", float, 2.0),
-        lam=_merged(args, config, "lam", float, -1.0),
-        value=_parse_floats(value_text),
-        y0=_parse_floats(y0_text) if y0_text is not None else None,
-        hr_params=hr_params or None,
-    )
-
-
-def _cmd_solve(args: argparse.Namespace, config: dict) -> int:
-    cfg = _run_config_from_args(args, config)
-    n_steps = _merged(args, config, "steps", int, None)
-    if n_steps is None:
-        raise ValueError("--steps is required")
-    strategy = _merged(args, config, "strategy", str, "serial")
-    workers = _parse_list(_merged(args, config, "workers", str, "2"), "--workers")
+def _cmd_solve(settings: dict) -> int:
+    problem = build_problem(settings)
+    n_steps = int(_required(settings, "steps"))
+    workers = _parse_list(settings["workers"], "--workers")
     if len(workers) != 1:
         raise ValueError(f"solve --workers takes one count, got {','.join(map(str, workers))}")
-    chunk = _merged(args, config, "chunk", int, 1024)
-    output = _merged(args, config, "output", str, "trajectory.csv")
-    traj = solve_strategy(build_problem(cfg), strategy, n_steps, workers[0], chunk)
+    chunk = int(settings["chunk"])
+    output = settings["output"]
+    traj = solve_strategy(problem, settings["strategy"], n_steps, workers[0], chunk)
     write_trajectory_csv(output, traj)
     print(f"wrote {traj.states.shape[0]} rows to {output}")
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    problem = build_problem(_run_config_from_args(args, config))
-    steps_text = _merged(args, config, "steps", str, "10000,20000")
-    n_list = _parse_list(str(steps_text), "--steps")
-    strategies_text = _merged(args, config, "strategy", str, "serial,block,reduction")
-    strategies = _parse_list(strategies_text, "--strategy", str)
-    workers_list = _parse_list(_merged(args, config, "workers", str, "2"), "--workers")
-    chunk = _merged(args, config, "chunk", int, 1024)
-    reps = _merged(args, config, "reps", int, 3)
-    output = _merged(args, config, "output", str, "bench.csv")
-    idle_output = _merged(args, config, "idle_output", str, None)
-
+def _cmd_bench(settings: dict) -> int:
+    problem = build_problem(settings)
+    output = settings["output"]
     records, idle_rows = run_sweep(
         problem,
-        strategies=strategies,
-        n_list=n_list,
-        workers_list=workers_list,
-        chunk=chunk,
-        repetitions=reps,
+        strategies=_parse_list(settings["strategy"], "--strategy", str),
+        n_list=_parse_list(settings["steps"], "--steps"),
+        workers_list=_parse_list(settings["workers"], "--workers"),
+        chunk=int(settings["chunk"]),
+        repetitions=int(settings["reps"]),
         log=print,
     )
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_csv(records))
+    _write(output, records_to_csv(records))
     print(f"wrote {len(records)} records to {output}")
     if idle_rows:
-        idle_path = idle_output or (output.rsplit(".", 1)[0] + "_idle.csv")
-        with open(idle_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(idle_to_csv(idle_rows))
+        idle_path = settings["idle_output"] or (output.rsplit(".", 1)[0] + "_idle.csv")
+        _write(idle_path, idle_to_csv(idle_rows))
         print(f"wrote idle counts to {idle_path}")
-    target = getattr(args, "project", None) or 1_000_000
+    target = int(settings["project"])
     proj = project_time(records, target)
     if proj is not None:
         print(f"projected serial time at N={target} (t ~ c*N^2): {proj:.1f}s")
@@ -270,12 +231,10 @@ def _cmd_bench(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
-    output = _merged(args, config, "output", str, "verify_report.csv")
+def _cmd_verify(settings: dict) -> int:
+    output = settings["output"]
     results, reports = run_verification_suite()
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
-        for report in reports:
-            fh.write(report.to_csv())
+    _write(output, "".join(report.to_csv() for report in reports))
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
     print(f"wrote convergence reports to {output}")
@@ -286,24 +245,20 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     return 1
 
 
+_COMMANDS = {"solve": _cmd_solve, "bench": _cmd_bench, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = load_config_file(args.config)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, config)
-        if args.command == "bench":
-            return _cmd_bench(args, config)
-        if args.command == "verify":
-            return _cmd_verify(args, config)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](_settings(args, config))
     except SolverStepError as exc:
         print(f"numerical failure at step {exc.step}: {exc}", file=sys.stderr)
         return 1

@@ -77,32 +77,42 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def predictor_weight(alpha: float, n: int) -> float:
-    """Predictor weight b_n = ((n+1)^alpha - n^alpha) / Gamma(alpha+1).
+def _b(alpha: float, n: np.ndarray) -> np.ndarray:
+    return ((n + 1.0) ** alpha - n ** alpha) / math.gamma(alpha + 1.0)
 
-    At alpha = 1 this reduces to the classical rectangle-rule weight 1.
-    """
+
+def _a(alpha: float, n: np.ndarray) -> np.ndarray:
+    p = alpha + 1.0
+    return ((n + 2.0) ** p - 2.0 * (n + 1.0) ** p + n ** p) / math.gamma(alpha + 2.0)
+
+
+def _c(alpha: float, n: np.ndarray) -> np.ndarray:
+    p = alpha + 1.0
+    return (n ** p - (n - alpha) * (n + 1.0) ** alpha) / math.gamma(alpha + 2.0)
+
+
+def _single(formula, alpha: float, n: int) -> float:
     alpha = _check_alpha(alpha)
     if n < 0:
         raise ValueError("n must be non-negative")
     # evaluated through a length-1 array so the result is bitwise identical
     # to the bulk fill (numpy's vector pow differs from scalar pow by 1 ulp)
-    nv = np.array([float(n)])
-    b = ((nv + 1.0) ** alpha - nv ** alpha) / math.gamma(alpha + 1.0)
-    return float(b[0])
+    return float(formula(alpha, np.array([float(n)]))[0])
+
+
+def predictor_weight(alpha: float, n: int) -> float:
+    """Predictor weight b_n = ((n+1)^alpha - n^alpha) / Gamma(alpha+1).
+
+    At alpha = 1 this reduces to the classical rectangle-rule weight 1.
+    """
+    return _single(_b, alpha, n)
 
 
 def corrector_weight_a(alpha: float, n: int) -> float:
     """Interior corrector weight
     a_n = ((n+2)^(alpha+1) - 2(n+1)^(alpha+1) + n^(alpha+1)) / Gamma(alpha+2).
     """
-    alpha = _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    nv = np.array([float(n)])
-    p = alpha + 1.0
-    a = ((nv + 2.0) ** p - 2.0 * (nv + 1.0) ** p + nv ** p) / math.gamma(alpha + 2.0)
-    return float(a[0])
+    return _single(_a, alpha, n)
 
 
 def corrector_weight_c(alpha: float, n: int) -> float:
@@ -111,13 +121,7 @@ def corrector_weight_c(alpha: float, n: int) -> float:
 
     c_0 = alpha / Gamma(alpha+2) exactly.
     """
-    alpha = _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    nv = np.array([float(n)])
-    p = alpha + 1.0
-    c = (nv ** p - (nv - alpha) * (nv + 1.0) ** alpha) / math.gamma(alpha + 2.0)
-    return float(c[0])
+    return _single(_c, alpha, n)
 
 
 @dataclass(frozen=True)
@@ -138,20 +142,15 @@ def precompute_weights(alpha: float, n_steps: int) -> WeightTable:
     """Fill a :class:`WeightTable` for n = 0..n_steps.
 
     Each entry is bitwise identical to the corresponding single-call weight
-    function (both paths evaluate the same libm ``pow``).  The fill is a
-    vectorised O(N) pass; entries are independent of one another.
+    function (both paths evaluate the same formula and libm ``pow``).  The
+    fill is a vectorised O(N) pass; entries are independent of one another.
     """
     alpha = _check_alpha(alpha)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     n = np.arange(n_steps + 1, dtype=np.float64)
-    ga1 = math.gamma(alpha + 1.0)
-    ga2 = math.gamma(alpha + 2.0)
-    p = alpha + 1.0
-    b = ((n + 1.0) ** alpha - n ** alpha) / ga1
-    a = ((n + 2.0) ** p - 2.0 * (n + 1.0) ** p + n ** p) / ga2
-    c = (n ** p - (n - alpha) * (n + 1.0) ** alpha) / ga2
+    b, a, c = _b(alpha, n), _a(alpha, n), _c(alpha, n)
     for arr in (b, a, c):
         arr.setflags(write=False)
     return WeightTable(alpha=alpha, b=b, a=a, c=c)

@@ -15,10 +15,11 @@ coherence of a single host); no fences are issued from Python, so
 
 No error travels through shared memory.  Each wait is given a ``stopped``
 test for the process it depends on, and an exception is raised where it
-happens.  The coordinator's exceptions reach the caller; on its way out it
-sets a shared stop word, which its helpers' waits test along with their
-parent pid.  An exception in a helper ends that process with exit code 1,
-and the coordinator's next wait on the helper sees the exit.
+happens.  The coordinator's exceptions reach the caller, and on every way
+out it kills and reaps its helpers, which hold only anonymous shared
+mappings.  A helper's waits test only for re-parenting, the sign of a
+coordinator killed first.  An exception in a helper ends that process with
+exit code 1, and the coordinator's next wait on the helper sees the exit.
 """
 
 from __future__ import annotations
@@ -140,16 +141,13 @@ def fork_processes(target, worker_ids: Sequence[int]) -> list:
     return procs
 
 
-def shutdown(procs, grace_s: float = 5.0) -> None:
-    """Join workers, killing any that ignore the stop word.
+def shutdown(procs) -> None:
+    """Kill and reap the workers.
 
     SIGKILL, because a stopped process leaves SIGTERM pending and would
-    never be joined.
+    never be joined.  A worker already reaped is not signalled again.
     """
-    deadline = time.monotonic() + grace_s
     for p in procs:
-        p.join(timeout=max(0.0, deadline - time.monotonic()))
+        p.kill()
     for p in procs:
-        if p.is_alive():
-            p.kill()
-            p.join()
+        p.join()

@@ -26,7 +26,8 @@ solver.  A helper that exits before it sends an awaited partial (an
 exception, a kill) is :class:`SolverStepError` at the step the coordinator
 could not complete, reported as soon as the coordinator waits on it; a
 helper that lives but stops answering trips the ``watchdog_s`` timeout
-(:class:`StrategyTimeoutError`).
+(:class:`StrategyTimeoutError`).  However the solve ends, the coordinator
+then kills and reaps its helpers.
 
 A helper whose span of a step is empty skips it; those steps are its
 ``idle_steps``.
@@ -45,7 +46,7 @@ from ..serial import PeceStep, Trajectory
 from . import _shm
 from ._shm import DEFAULT_WATCHDOG_S, RING
 
-__all__ = ["solve_reduction_parallel"]
+__all__ = ["check_config", "solve_reduction_parallel"]
 
 # The coordinator alone runs every step's assembly and both rhs calls, so an
 # even split of the history leaves the helpers waiting on it.  Ceding this
@@ -74,6 +75,14 @@ def _spans(m: int, workers: int, bias: int) -> list[tuple[int, int]]:
     return spans
 
 
+def check_config(n_steps: int, n_workers: int, chunk: int) -> None:
+    """Refuse a worker count outside [1, n_steps] or a chunk below 1."""
+    if not 1 <= n_workers <= n_steps:
+        raise ValueError(f"n_workers must lie in [1, {n_steps}], got {n_workers}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+
+
 def solve_reduction_parallel(
     problem: FractionalProblem,
     grid: GridSpec,
@@ -93,16 +102,11 @@ def solve_reduction_parallel(
     """
     N = grid.n_steps
     d = problem.dim
-    n_workers = int(n_workers)
-    if not 1 <= n_workers <= N:
-        raise ValueError(f"n_workers must lie in [1, {N}], got {n_workers}")
+    P = int(n_workers)
     chunk = int(chunk)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    P = n_workers
+    check_config(N, P, chunk)
     bias = round(_BIAS_TERMS / chunk)
 
-    stop = _shm.shared(1, np.int64)     # set by the coordinator on its way out
     done = _shm.counters(1)             # last step whose f_{n+1} is published
     sent = _shm.counters(P)             # helper progress, one per worker
     step = PeceStep(problem, grid, fT=_shm.shared((d, N + 1)))
@@ -112,12 +116,12 @@ def solve_reduction_parallel(
 
     coordinator = os.getpid()
 
-    def stopped() -> bool:
-        return stop[0] != 0 or os.getppid() != coordinator
+    def orphaned() -> bool:
+        return os.getppid() != coordinator
 
     def helper(w: int) -> None:
         # helpers never time out on their own: they follow the coordinator's
-        # progress, its stop word or its death
+        # progress until it kills them, or notice that it died
         try:
             with single_threaded_blas():
                 for n in range(N):
@@ -127,7 +131,7 @@ def solve_reduction_parallel(
                     lo, hi = j0 * chunk, j1 * chunk
                     # f_{hi-1} is published with step hi-2; the slot is free
                     # once the coordinator has consumed step n - RING
-                    _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), stopped)
+                    _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), orphaned)
                     slots[w, n % RING] = step.history(n, lo, hi)
                     sent[w] = n + 1
         except _shm.Stopped:
@@ -161,8 +165,6 @@ def solve_reduction_parallel(
             t=(n + 1) * grid.h,
         ) from None
     finally:
-        # release helpers waiting for steps that will never be published
-        stop[0] = 1
         _shm.shutdown(procs)
 
     if stats is not None:

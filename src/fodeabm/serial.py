@@ -80,8 +80,8 @@ def _length(value) -> int:
 class PeceStep:
     """History kernel and step assembly over the states ``Y`` and history ``fT``.
 
-    ``Y`` is (N+1, d) and ``fT`` is (d, N+1); both are allocated unless given,
-    as the parallel engines give views of their shared memory.  Construction
+    ``Y`` is (N+1, d); ``fT`` is (d, N+1), allocated unless given, as the
+    parallel engines give a view of their shared memory.  Construction
     stores y_0 and f_0, so a failing f(0, y0) is :class:`SolverStepError` at
     step 0, checked like every later evaluation.  Step n is ``advance(n, S)``
     where S is ``history(n, 0, n + 1)`` or the sum of ``history`` over ranges
@@ -92,7 +92,6 @@ class PeceStep:
         self,
         problem: FractionalProblem,
         grid: GridSpec,
-        Y: np.ndarray | None = None,
         fT: np.ndarray | None = None,
     ):
         if not grid.spans(problem.t_end):
@@ -118,7 +117,7 @@ class PeceStep:
         self.h = grid.h
         self.y0_columns = np.column_stack((problem.y0, problem.y0))
         self.rhs = problem.rhs
-        self.Y = np.empty((N + 1, d)) if Y is None else Y
+        self.Y = np.empty((N + 1, d))
         self.fT = np.empty((d, N + 1)) if fT is None else fT
         self.Y[0] = problem.y0
         self._evaluate(0, 0.0, problem.y0, self.fT[:, 0])

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +43,32 @@ class TestSweep:
         problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
         with pytest.raises(ValueError, match="unknown strategy 'magic'"):
             run_sweep(problem, strategies=("magic",), n_list=(500,), repetitions=1)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"workers_list": (0,)}, "block at --steps 500 --workers 0: n_workers must lie in [1, 500], got 0"),
+            ({"workers_list": (501,)}, "block at --steps 500 --workers 501: n_workers must lie"),
+            ({"chunk": 0}, "reduction at --steps 500 --workers 2 --chunk 0: chunk must be >= 1, got 0"),
+            ({"workers_list": (2, 2)}, "--workers repeats a value: 2,2"),
+            ({"n_list": (500, 500)}, "--steps repeats a value: 500,500"),
+            ({"strategies": ("block", "block")}, "--strategy repeats a value: block,block"),
+            ({"n_list": (500, 0)}, "n_steps must be >= 1"),
+        ],
+        ids=["workers-zero", "workers-above-n", "chunk-zero", "workers-repeated", "steps-repeated",
+             "strategy-repeated", "steps-zero"],
+    )
+    def test_bad_cell_refused_before_any_solve(self, sweep, message):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(problem, **{"n_list": (500,), "repetitions": 1, **sweep})
         assert calls == []
 
     def test_speedups_and_schema(self):

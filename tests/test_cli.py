@@ -154,6 +154,53 @@ class TestConfigFile:
         rc = run_cli(["solve", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("line", ["alpha = abc", "steps = 1.5", "hr_param = r"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        # a value that cannot be read is a configuration error, not a usage error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system = hindmarsh-rose\nalpha = 0.9\ntmax = 1.0\nsteps = 8\n" + line + "\n")
+        out = tmp_path / "t.csv"
+        rc = run_cli(["solve", "--config", str(cfg), "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not out.exists()
+
+    def test_hr_param_flags_replace_config(self, tmp_path):
+        # the config's one NAME=VALUE is used alone, and replaced (not
+        # extended) by --hr-param flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system = hindmarsh-rose\nalpha = 0.9\ntmax = 1.0\nsteps = 16\nhr_param = i_ext=0.0\n")
+        flags = ["--system", "hindmarsh-rose", "--alpha", "0.9", "--tmax", "1.0", "--steps", "16"]
+        runs = {
+            "config": ["--config", str(cfg)],
+            "config+flag": ["--config", str(cfg), "--hr-param", "r=0.01"],
+            "flag i_ext": flags + ["--hr-param", "i_ext=0.0"],
+            "flag r": flags + ["--hr-param", "r=0.01"],
+            "none": flags,
+        }
+        text = {}
+        for name, args in runs.items():
+            out = tmp_path / "t.csv"
+            assert run_cli(["solve", *args, "--output", str(out)]) == 0
+            text[name] = out.read_bytes()
+        assert text["config"] == text["flag i_ext"] != text["none"]
+        assert text["config+flag"] == text["flag r"] != text["none"]
+        assert text["flag r"] != text["flag i_ext"]
+
+    def test_config_project_is_printed(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("project = 4000\n")
+        rc = run_cli(
+            [
+                "bench", "--config", str(cfg),
+                "--system", "linear", "--alpha", "0.5", "--tmax", "1.0",
+                "--steps", "200", "--strategy", "serial", "--reps", "1",
+                "--output", str(tmp_path / "bench.csv"),
+            ]
+        )
+        assert rc == 0
+        assert "projected serial time at N=4000 " in capsys.readouterr().out
+
 
 class TestBench:
     def test_sweep_writes_records_and_idle(self, tmp_path, capsys):
@@ -189,12 +236,22 @@ class TestBench:
         ("bench", "--steps", ""),
         ("bench", "--workers", ""),
         ("bench", "--strategy", ","),
+        ("bench", "--workers", "0"),
+        ("bench", "--workers", "2,2"),
+        ("bench", "--steps", "16,16"),
+        ("bench", "--chunk", "0"),
+        ("bench", "--strategy", "block,block"),
     ],
-    ids=["solve-workers-empty", "solve-workers-list", "bench-steps-empty", "bench-workers-empty", "bench-strategy-empty"],
+    ids=[
+        "solve-workers-empty", "solve-workers-list", "bench-steps-empty", "bench-workers-empty",
+        "bench-strategy-empty", "bench-workers-zero", "bench-workers-repeated", "bench-steps-repeated",
+        "bench-chunk-zero", "bench-strategy-repeated",
+    ],
 )
 def test_list_flag_is_config_error(tmp_path, capsys, command, flag, value):
-    # an empty list, or a list where solve takes one count, is refused
-    # before anything is solved or written
+    # an empty list, a list where solve takes one count, a repeated value
+    # or a bench cell the engines refuse is refused before anything is
+    # solved or written
     out = tmp_path / "out.csv"
     args = [command, "--system", "linear", "--alpha", "0.5", "--tmax", "1.0", "--output", str(out)]
     if flag != "--steps":

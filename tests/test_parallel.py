@@ -372,7 +372,8 @@ def test_watchdog_breaks_hang(solve):
             except ProcessLookupError:
                 pass
     assert stopped
-    assert time.monotonic() - t0 < 20.0
+    # the coordinator kills the stopped helper at once: no grace period
+    assert time.monotonic() - t0 < 5.0
     assert multiprocessing.active_children() == []
 
 
