@@ -9,6 +9,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import (
@@ -84,12 +85,14 @@ def build_problem(settings: dict) -> FractionalProblem:
     system = _required(settings, "system")
     alpha = float(_required(settings, "alpha", " (no default is assumed)"))
     t_max = float(_required(settings, "tmax"))
-    hr_params = {}
+    hr_params, hr_names = {}, [f.name for f in dataclasses.fields(HindmarshRoseParams)]
     for item in settings["hr_param"]:
         if "=" not in item:
             raise ValueError(f"--hr-param expects NAME=VALUE, got {item!r}")
-        k, v = item.split("=", 1)
-        hr_params[k.strip()] = float(v)
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k not in hr_names:
+            raise ValueError(f"unknown --hr-param {k!r}; choose from {', '.join(hr_names)}")
+        hr_params[k] = float(v)
     beta = float(settings["beta"])
     lam = float(settings["lam"])
     value = _parse_list(settings["value"], "--value", float)

@@ -21,6 +21,7 @@ transient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,25 @@ class Trajectory:
         return self.states.shape[1]
 
 
+PANEL = 16  # steps per panel once the history outgrows L2
+
+
+@functools.cache
+def _l2_bytes() -> int:
+    """cpu0's L2 cache size in bytes, as sysfs gives it; 0 if unreadable."""
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cache/index2/size") as f:
+            text = f.read().strip()
+        return int(text.rstrip("KM")) << {"K": 10, "M": 20}.get(text[-1:], 0)
+    except (OSError, ValueError):
+        return 0
+
+
+def _panel_width(dim: int, n_steps: int) -> int:
+    """K: PANEL once the history, 8*dim*(N+1) bytes, exceeds L2, else 1."""
+    return PANEL if 0 < _l2_bytes() < 8 * dim * (n_steps + 1) else 1
+
+
 def _length(value) -> int:
     """Number of values an rhs returned; a scalar counts as one."""
     try:
@@ -100,15 +120,24 @@ class PeceStep:
             )
         N = grid.n_steps
         d = problem.dim
+        K = _panel_width(d, N)
         table = precompute_weights(problem.alpha, N)
         ha = grid.h ** problem.alpha
-        W = np.empty((2, N + 1))
-        W[0] = table.b[::-1]
-        W[1] = table.a[::-1]
-        W *= ha
+        # row 2j+c of RT is h^alpha times the reversed b (c=0) or a (c=1)
+        # weights shifted right by j: RT[2j+c, N-s+k] is step s+j's weight
+        # of f_k, so one product over RT serves a whole panel of K steps
+        RT = self.RT = np.empty((2 * K, N + 1))
+        RT[0] = table.b[::-1]
+        RT[1] = table.a[::-1]
+        RT[:2] *= ha
+        for j in range(1, K):
+            RT[2 * j : 2 * j + 2, j:] = RT[:2, : N + 1 - j]
+            RT[2 * j : 2 * j + 2, :j] = 0.0  # weights of steps past N
         # row N-n+k of WT is h^alpha (b_{n-k}, a_{n-k}); the transposed view
         # of a row-major (2, N+1) array is the layout the BLAS reads fastest
-        self.WT = W.T
+        self.WT = RT[:2].T
+        self.K = K
+        self._panel = (-1, {})  # (panel start, far products by term range)
         self.f0_weight = (ha * (table.c - table.a)).tolist()
         self.fP_weight = ha / math.gamma(problem.alpha + 2.0)
         self.grid = grid
@@ -128,11 +157,23 @@ class PeceStep:
     def history(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Step n's predictor and corrector sums over k in [lo, hi), times h^alpha.
 
-        Returns a (d, 2) array: column 0 the b-weighted, column 1 the
-        a-weighted sum.
+        Returns a new (d, 2) array: column 0 the b-weighted, column 1 the
+        a-weighted sum.  With K > 1 the terms below step n's panel are one
+        product per panel and range, kept for the panel's other steps.
         """
         o = self.N - n
-        return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
+        if self.K == 1 or (mid := min(hi, n - n % self.K)) <= lo:
+            return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
+        j = n % self.K
+        if self._panel[0] != n - j:
+            self._panel = (n - j, {})
+        far = self._panel[1]
+        if (lo, mid) not in far:
+            far[lo, mid] = self.RT[:, o + j + lo : o + j + mid] @ self.fT[:, lo:mid].T
+        # a new array, also when [mid, hi) is empty
+        S = self.fT[:, mid:hi] @ self.WT[o + mid : o + hi]
+        S += far[lo, mid][2 * j : 2 * j + 2].T
+        return S
 
     def _evaluate(self, n: int, t: float, y: np.ndarray, out: np.ndarray) -> None:
         """f(t, y) into ``out``, checked for failure, length and finiteness."""

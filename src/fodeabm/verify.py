@@ -123,12 +123,12 @@ class ConvergenceReport:
 
     def to_csv(self) -> str:
         """Rows alpha,problem,N,sup_error plus a trailing observed_order line."""
+        # imported here: ``import fodeabm`` does not load the bench harness
+        from .bench import write_csv
         out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["alpha", "problem", "N", "sup_error"])
-        for n, e in self.errors:
-            w.writerow([f"{self.alpha:.17g}", self.problem, n, f"{e:.17g}"])
-        w.writerow(["observed_order", f"{self.observed_order:.17g}"])
+        rows = [(float(self.alpha), self.problem, n, float(e)) for n, e in self.errors]
+        rows.append(("observed_order", float(self.observed_order)))
+        write_csv(out, ["alpha", "problem", "N", "sup_error"], rows)
         return out.getvalue()
 
     @classmethod

@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fodeabm import FractionalProblem, make_partition, owner
+from fodeabm import FractionalProblem, _threads, make_partition, owner, serial
 from fodeabm.systems import rhs_constant, rhs_hindmarsh_rose, rhs_linear, rhs_power_law
 
 # Criterion 5 as documented: a host with 4 usable cores, Hindmarsh-Rose at
@@ -13,6 +13,12 @@ SPEEDUP_DOC_WORKERS = 4
 SPEEDUP_DOC_STEPS = 50000
 SPEEDUP_CHUNK = 1024
 SPEEDUP_DOC_MIN = {"block": 1.5, "reduction": 1.8}
+
+# Criterion 6 times the history contraction of a linear system this wide on
+# these doubling grids: its history and weights, (d+2)*8*N bytes, stay
+# inside a 2 MiB L2 up to the last grid.
+CRITERION_6_DIM = 3
+CRITERION_6_STEPS = (10000, 20000, 40000)
 
 
 def _cgroup_cpu_quota() -> float | None:
@@ -112,6 +118,31 @@ def speedup_thresholds(workers: int, n_steps: int = SPEEDUP_DOC_STEPS) -> dict[s
     return gates
 
 
+def host_line() -> str:
+    """The BLAS, its thread count in solves, the L2 size and the panel widths.
+
+    Timing tests print it, so a timing failure can be read without a rerun.
+    """
+    blas = _threads.openblas()
+    with _threads.single_threaded_blas():
+        threads = blas[1].value if blas else "unknown"
+    widths = {
+        f"criterion 5 (d=3, N={SPEEDUP_DOC_STEPS})": serial._panel_width(3, SPEEDUP_DOC_STEPS),
+        f"criterion 6 (d={CRITERION_6_DIM}, N={CRITERION_6_STEPS[-1]})": serial._panel_width(
+            CRITERION_6_DIM, CRITERION_6_STEPS[-1]
+        ),
+    }
+    return (
+        f"BLAS {blas[0] if blas else 'unknown (no OpenBLAS in the process map)'}, "
+        f"{threads} thread(s) inside single_threaded_blas(); L2 {serial._l2_bytes()} bytes; "
+        "panel width K " + ", ".join(f"{shape} {k}" for shape, k in widths.items())
+    )
+
+
+def pytest_report_header(config):
+    return "fodeabm: " + host_line()
+
+
 def pytest_addoption(parser):
     group = parser.getgroup("fodeabm acceptance")
     group.addoption(
@@ -140,6 +171,13 @@ def pytest_addoption(parser):
         default=SPEEDUP_DOC_STEPS,
         help="N for the speedup criterion",
     )
+
+
+@pytest.fixture
+def force_panel(monkeypatch):
+    """Every PeceStep built in the test uses panels of ``serial.PANEL`` steps."""
+    monkeypatch.setattr(serial, "_panel_width", lambda dim, n_steps: serial.PANEL)
+    return serial.PANEL
 
 
 def sup_rel_dev(a: np.ndarray, b: np.ndarray) -> float:

@@ -125,6 +125,24 @@ class TestSolve:
         )
         assert rc == 0
 
+    def test_unknown_hr_param_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = run_cli(
+            [
+                "solve",
+                "--system", "hindmarsh-rose",
+                "--alpha", "0.9",
+                "--tmax", "1",
+                "--steps", "4",
+                "--hr-param", "zz=1",
+                "--output", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown --hr-param 'zz'")
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):

@@ -260,6 +260,47 @@ class TestReductionStrategy:
         assert stats["partial_sums_sent"][1] > 0
 
 
+class TestPanelHistory:
+    """Both engines on the panel path, forced on; N is not a multiple of it."""
+
+    def test_degenerate_configurations_bitwise_serial(self, force_panel):
+        problem = linear_problem(0.7, -1.0, y0=(1.0, 0.5, -2.0))
+        grid = problem.grid(600)
+        ref = solve_serial(problem, grid)
+        for got in (
+            solve_block_parallel(problem, grid, 1),
+            solve_reduction_parallel(problem, grid, 1, chunk=64),
+            solve_reduction_parallel(problem, grid, 2, chunk=600),
+        ):
+            assert np.array_equal(got.states, ref.states)
+            assert np.array_equal(got.f_cache, ref.f_cache)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_block_matches_serial(self, force_panel, workers):
+        # block = ceil(N/P) is no multiple of the panel width, so panels
+        # straddle the block edges
+        for problem in (power_problem(0.5), linear_problem(0.7, -1.0, y0=(1.0, 0.5, -2.0))):
+            grid = problem.grid(601)
+            ref = solve_serial(problem, grid)
+            got = solve_block_parallel(problem, grid, workers)
+            assert sup_rel_dev(got.states, ref.states) <= 1e-10
+
+    @pytest.mark.parametrize("workers,chunk", [(2, 24), (2, 40), (3, 56)])
+    def test_reduction_matches_serial(self, force_panel, workers, chunk):
+        problem = linear_problem(0.7, -1.0, y0=(1.0, 0.5, -2.0))
+        grid = problem.grid(601)
+        ref = solve_serial(problem, grid)
+        got = solve_reduction_parallel(problem, grid, workers, chunk)
+        assert sup_rel_dev(got.states, ref.states) <= 1e-10
+
+    def test_hindmarsh_rose_within_criterion_4_tolerance(self, force_panel):
+        problem = hr_problem(t_end=40.0)
+        grid = problem.grid(2000)
+        ref = solve_serial(problem, grid)
+        for got in (solve_block_parallel(problem, grid, 2), solve_reduction_parallel(problem, grid, 2, 100)):
+            assert sup_rel_dev(got.states, ref.states) <= 1e-8
+
+
 STRATEGY_SOLVES = {
     "serial": solve_serial,
     "block": lambda problem, grid: solve_block_parallel(problem, grid, 2),
@@ -344,6 +385,21 @@ def test_raising_rhs_is_step_error(solve, threshold, step):
     with pytest.raises(SolverStepError) as err:
         solve(problem, problem.grid(20))
     assert err.value.step == step
+    assert isinstance(err.value.__cause__, TypeError)
+
+
+@every_strategy
+def test_rhs_failing_mid_panel_is_step_error(solve, force_panel):
+    # step 21 lies inside the second panel, whose far part is already formed
+    def rhs(t, y):
+        if t > 0.54:
+            raise TypeError("rhs gave up")
+        return -y
+
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err:
+        solve(problem, problem.grid(40))
+    assert err.value.step == 21 and 21 % force_panel not in (0, force_panel - 1)
     assert isinstance(err.value.__cause__, TypeError)
 
 

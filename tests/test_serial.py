@@ -5,10 +5,11 @@ import pytest
 
 from fodeabm import FractionalProblem, GridSpec, SolverStepError, solve_serial
 from fodeabm.core import _all_finite
+from fodeabm import serial
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
-from conftest import constant_problem, linear_problem, power_problem
+from conftest import CRITERION_6_DIM, constant_problem, linear_problem, power_problem, sup_rel_dev
 
 SQRT01_B0 = 0.35682482323055422291  # sqrt(0.1) / Gamma(1.5)
 
@@ -111,6 +112,60 @@ class TestStepOperations:
         with pytest.raises(SolverStepError) as err:
             step.advance(1, S)
         assert err.value.step == 1
+
+
+class TestPanelHistory:
+    """The panel path, forced on: N is not a multiple of the panel width."""
+
+    def test_predictor_matches_brute_force(self, force_panel):
+        problem = linear_problem(alpha=0.6, lam=-1.0, y0=(1.0, -0.5))
+        grid = problem.grid(2 * force_panel + 9)
+        traj = solve_serial(problem, grid)
+        for n in (0, 1, force_panel - 1, force_panel, force_panel + 5, 2 * force_panel + 8):
+            got, _ = advance_over(problem, grid, traj, n)
+            want = brute_force_predictor(problem, grid, traj, n)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_corrector_matches_brute_force(self, force_panel):
+        problem = FractionalProblem(
+            alpha=0.5, dim=1, rhs=lambda t, y: (t,), y0=[0.0], t_end=1.0
+        )
+        grid = problem.grid(3 * force_panel - 5)
+        traj = solve_serial(problem, grid)
+        for n in (0, force_panel, force_panel + 3, 2 * force_panel + 1, 3 * force_panel - 6):
+            yP, got = advance_over(problem, grid, traj, n)
+            want = brute_force_corrector(problem, grid, traj, n, yP)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_ranges_add_up_to_the_whole_history(self, force_panel):
+        # any split of 0..n, as the parallel engines make, sums to the
+        # whole history; a far part is kept per range, not per step
+        problem = linear_problem(alpha=0.7, lam=-1.0, y0=(1.0, 2.0, 3.0))
+        grid = problem.grid(100)
+        traj = solve_serial(problem, grid)
+        step = step_over(problem, grid, traj, grid.n_steps)
+        for n in range(grid.n_steps):
+            whole = step.history(n, 0, n + 1)
+            for cut in {0, n // 3, n // 2 + 1, n - n % force_panel}:
+                parts = step.history(n, 0, cut) + step.history(n, cut, n + 1)
+                np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=1e-15)
+
+    def test_panel_solve_matches_unpanelled(self, force_panel, monkeypatch):
+        problem = linear_problem(alpha=0.8, lam=-1.0, y0=np.linspace(0.5, 1.5, 5))
+        grid = problem.grid(300)
+        panelled = solve_serial(problem, grid)
+        monkeypatch.setattr(serial, "_panel_width", lambda dim, n_steps: 1)
+        assert sup_rel_dev(panelled.states, solve_serial(problem, grid).states) <= 1e-13
+
+    def test_rule_keeps_fitting_histories_unpanelled(self, monkeypatch):
+        # hr-long, short-many, criterion 5 (HR, N=5e4) and criterion 6 fit
+        # a 2 MiB L2 and run the unpanelled product; wide-linear does not
+        shapes = {(3, 20000): 1, (1, 2000): 1, (3, 50000): 1, (CRITERION_6_DIM, 40000): 1, (64, 5000): 16}
+        monkeypatch.setattr(serial, "_l2_bytes", lambda: 2 << 20)
+        assert {shape: serial._panel_width(*shape) for shape in shapes} == shapes
+        # an unreadable L2 size never panels
+        monkeypatch.setattr(serial, "_l2_bytes", lambda: 0)
+        assert {serial._panel_width(*shape) for shape in shapes} == {1}
 
 
 class TestSolveSerial:

@@ -116,6 +116,16 @@ class TestConvergenceReport:
         assert text.splitlines()[0] == "alpha,problem,N,sup_error"
         assert text.splitlines()[-1].startswith("observed_order,")
 
+    def test_csv_bytes(self):
+        # written by the bench CSV writer: 17 digits, quoting, nan as "nan"
+        rep = ConvergenceReport(alpha=0.3, problem="linear, lam=-1", errors=((100, 0.1), (200, 1e-300)))
+        assert rep.to_csv() == (
+            "alpha,problem,N,sup_error\n"
+            '0.29999999999999999,"linear, lam=-1",100,0.10000000000000001\n'
+            '0.29999999999999999,"linear, lam=-1",200,1e-300\n'
+            "observed_order,nan\n"
+        )
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             ConvergenceReport(alpha=0.5, problem="x", errors=((200, 1e-2), (100, 1e-3)))
