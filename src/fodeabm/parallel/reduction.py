@@ -147,16 +147,17 @@ def solve_reduction_parallel(
             # possibly while another is still awaited, so only the awaited
             # helper's exit counts
             exited = [None] + [lambda p=p: p.exitcode is not None for p in procs]
+            advance, history = step.advance, step.history
             for n in range(N):
                 spans = spans_for(n // chunk + 1)
-                S = step.history(n, spans[0][0] * chunk, n + 1)
+                S = history(n, spans[0][0] * chunk, n + 1)
                 ring = n % RING
                 for w in range(1, P):
                     j0, j1 = spans[w]
                     if j1 > j0:
                         _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
                         S += slots[w, ring]
-                step.advance(n, S)
+                advance(n, S)
                 done[0] = n
     except _shm.Stopped:
         raise SolverStepError(

@@ -12,11 +12,12 @@ The history sums run over every previous step, which is what makes the total
 cost O(N^2).  Both sums read the same history f_0..f_n, so :class:`PeceStep`
 forms them as one (d x n+1) @ (n+1 x 2) product against the reversed b and a
 weights, scaled by h^alpha and stacked side by side.  Its corrector column
-weights f_0 with a_n, so the assembly adds h^alpha (c_n - a_n) f_0.  Any range
-of terms is then one product over both full columns, which lets the parallel
-engines split k = 0..n into ranges and add the partial products.
-``f_cache`` keeps f at accepted states only; the predictor evaluation fP is
-transient.
+weights f_0 with a_n, so any range of terms is one product over both full
+columns, which lets the parallel engines split k = 0..n into ranges and add
+the partial products.  The rest of the corrector, h^alpha ((c_n - a_n) f_0 +
+fP / Gamma(alpha+2)), is one more product: the (d x 2) columns [f_0, fP]
+against row n of a table of both weights.  ``f_cache`` keeps f at accepted
+states only; the predictor evaluation fP is transient.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ def _panel_width(dim: int, n_steps: int) -> int:
     return PANEL if 0 < _l2_bytes() < 8 * dim * (n_steps + 1) else 1
 
 
-def _length(value) -> int:
-    """Number of values an rhs returned; a scalar counts as one."""
-    try:
-        return len(value)
-    except TypeError:
-        return 1
-
-
 class PeceStep:
     """History kernel and step assembly over the states ``Y`` and history ``fT``.
 
@@ -138,8 +131,10 @@ class PeceStep:
         self.WT = RT[:2].T
         self.K = K
         self._panel = (-1, {})  # (panel start, far products by term range)
-        self.f0_weight = (ha * (table.c - table.a)).tolist()
-        self.fP_weight = ha / math.gamma(problem.alpha + 2.0)
+        # row n of CW: step n's corrector weights of f_0 and fP beyond S
+        CW = self.CW = np.empty((N + 1, 2))
+        CW[:, 0] = ha * (table.c - table.a)
+        CW[:, 1] = ha / math.gamma(problem.alpha + 2.0)
         self.grid = grid
         self.N = N
         self.dim = d
@@ -150,9 +145,10 @@ class PeceStep:
         self.fT = np.empty((d, N + 1)) if fT is None else fT
         self.Y[0] = problem.y0
         self._evaluate(0, 0.0, problem.y0, self.fT[:, 0])
-        self.f0 = self.fT[:, 0].copy()
-        self.fP = np.empty(d)
-        self.prod = np.empty(d)  # scratch for the corrector's two products
+        # column 0 is f_0, column 1 the predictor's evaluation fP
+        self.F = np.empty((d, 2))
+        self.F[:, 0] = self.fT[:, 0]
+        self.fP = self.F[:, 1]
 
     def history(self, n: int, lo: int, hi: int) -> np.ndarray:
         """Step n's predictor and corrector sums over k in [lo, hi), times h^alpha.
@@ -179,7 +175,10 @@ class PeceStep:
         """f(t, y) into ``out``, checked for failure, length and finiteness."""
         try:
             value = self.rhs(t, y)
-            count = _length(value)
+            try:
+                count = len(value)
+            except TypeError:
+                count = 1  # a scalar
             # counted first: the store would broadcast a single value to all
             # d entries and blame any other wrong length on the call
             if count == self.dim:
@@ -192,7 +191,9 @@ class PeceStep:
             raise SolverStepError(
                 f"rhs returned {count} values, expected {self.dim}", step=n, t=t
             )
-        if not _all_finite(out):
+        # a finite dot product with itself proves out finite; any other is
+        # decided exactly, since a finite square may overflow
+        if not math.isfinite(out.dot(out)) and not _all_finite(out):
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
 
     def advance(self, n: int, S: np.ndarray) -> np.ndarray:
@@ -211,8 +212,8 @@ class PeceStep:
         yP = S[:, 0]
         self._evaluate(n, t1, yP, self.fP)
         y1 = self.Y[n + 1]
-        np.add(S[:, 1], np.multiply(self.f0_weight[n], self.f0, self.prod), y1)
-        y1 += np.multiply(self.fP_weight, self.fP, self.prod)
+        self.F.dot(self.CW[n], y1)
+        y1 += S[:, 1]
         self._evaluate(n, t1, y1, self.fT[:, n + 1])
         return yP
 
@@ -231,7 +232,8 @@ def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:
     soon as any rhs evaluation fails or produces a non-finite value.
     """
     step = PeceStep(problem, grid)
+    advance, history = step.advance, step.history
     with single_threaded_blas():
         for n in range(grid.n_steps):
-            step.advance(n, step.history(n, 0, n + 1))
+            advance(n, history(n, 0, n + 1))
     return step.trajectory()

@@ -116,7 +116,9 @@ def rhs_hindmarsh_rose(params: HindmarshRoseParams | None = None) -> callable:
     def f(t, state):
         # Python floats: scalar arithmetic on them is several times cheaper
         # than on numpy scalars, and it rounds the same way
-        x, y, z = np.asarray(state, dtype=np.float64).tolist()
+        if type(state) is not np.ndarray or state.dtype.char != "d":  # float64
+            state = np.asarray(state, dtype=np.float64)
+        x, y, z = state.tolist()
         x2 = x * x
         return (
             y - a * x2 * x + b * x2 - z + i_ext,

@@ -12,6 +12,7 @@ import pytest
 
 from fodeabm import (
     FractionalProblem,
+    GridSpec,
     SolverStepError,
     StrategyTimeoutError,
     idle_fraction,
@@ -386,6 +387,66 @@ def test_raising_rhs_is_step_error(solve, threshold, step):
         solve(problem, problem.grid(20))
     assert err.value.step == step
     assert isinstance(err.value.__cause__, TypeError)
+
+
+def rhs_changed_at(step, h, evaluation, value):
+    """-y, except at the predictor's (0) or corrector's (1) evaluation of ``step``.
+
+    There it returns ``value(y)``; both evaluations of step n are the calls
+    at t = (n+1) h, the predictor's first.
+    """
+    calls = []
+
+    def rhs(t, y):
+        if t == (step + 1) * h:
+            calls.append(t)
+            if len(calls) == evaluation + 1:
+                return value(y)
+        return -y
+
+    return rhs
+
+
+def _raise(y):
+    raise ValueError("rhs gave up")
+
+
+@every_strategy
+@pytest.mark.parametrize("evaluation", [0, 1], ids=["predictor", "corrector"])
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        (_raise, "rhs evaluation failed: ValueError: rhs gave up"),
+        (lambda y: (1.0, 2.0, 3.0), "rhs returned 3 values, expected 2"),
+        (lambda y: 1.0, "rhs returned 1 values, expected 2"),
+        (lambda y: (0.0, float("nan")), "rhs returned a non-finite value"),
+        (lambda y: (-float("inf"), 0.0), "rhs returned a non-finite value"),
+    ],
+    ids=["raises", "long", "scalar", "nan", "inf"],
+)
+def test_bad_rhs_at_either_evaluation_is_step_error(solve, evaluation, value, reason):
+    grid = GridSpec.from_horizon(1.0, 20)
+    rhs = rhs_changed_at(10, grid.h, evaluation, value)
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err:
+        solve(problem, grid)
+    assert (err.value.step, err.value.t, err.value.reason) == (10, 11 * grid.h, reason)
+
+
+@every_strategy
+@pytest.mark.parametrize("evaluation", [0, 1], ids=["predictor", "corrector"])
+def test_rhs_values_accepted_at_either_evaluation(solve, evaluation):
+    # a scalar at d=1, and a finite value whose square overflows the
+    # finiteness check's dot product
+    for dim, value in ((1, lambda y: float(-y[0])), (2, lambda y: (1e200, -1e200))):
+        grid = GridSpec.from_horizon(1.0, 20)
+        rhs = rhs_changed_at(10, grid.h, evaluation, value)
+        problem = FractionalProblem(alpha=0.6, dim=dim, rhs=rhs, y0=np.ones(dim), t_end=1.0)
+        with np.errstate(over="ignore"):
+            traj = solve(problem, grid)
+        assert np.isfinite(traj.states).all()
+        if dim == 2 and evaluation == 1:
+            assert traj.f_cache[11].tolist() == [1e200, -1e200]
 
 
 @every_strategy

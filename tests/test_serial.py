@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fodeabm import FractionalProblem, GridSpec, SolverStepError, solve_serial
-from fodeabm.core import _all_finite
+from fodeabm.core import _all_finite, precompute_weights
 from fodeabm import serial
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
@@ -38,6 +38,10 @@ def brute_force_corrector(problem, grid, traj, n, y_pred):
     fP = np.asarray(problem.rhs((n + 1) * h, np.asarray(y_pred)), dtype=float)
     acc = acc + fP / ga2
     return problem.y0 + h**alpha * acc
+
+
+# right-hand sides for the brute-force corrector checks
+CORRECTOR_RHS = (lambda t, y: (t,), lambda t, y: (1.0 + t - y[0],))
 
 
 def step_over(problem, grid, traj, n):
@@ -91,16 +95,28 @@ class TestStepOperations:
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_corrector_matches_brute_force(self):
-        # rhs depends on t only, so the three-term structure is fully exposed
-        problem = FractionalProblem(
-            alpha=0.5, dim=1, rhs=lambda t, y: (t,), y0=[0.0], t_end=1.0
-        )
-        grid = problem.grid(10)
-        traj = solve_serial(problem, grid)
-        for n in (0, 1, 5, 9):
-            yP, got = advance_over(problem, grid, traj, n)
-            want = brute_force_corrector(problem, grid, traj, n, yP)
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+        # the first rhs depends on t only, so the three-term structure is
+        # fully exposed; the second has f_0 = 1, which the first zeroes
+        for rhs in CORRECTOR_RHS:
+            problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[0.0], t_end=1.0)
+            grid = problem.grid(10)
+            traj = solve_serial(problem, grid)
+            for n in (0, 1, 5, 9):
+                yP, got = advance_over(problem, grid, traj, n)
+                want = brute_force_corrector(problem, grid, traj, n, yP)
+                np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_corrector_tail_weights_bitwise(self):
+        # row n of CW: h^alpha (c_n - a_n) for f_0, h^alpha / Gamma(alpha+2) for fP
+        for alpha, N in ((0.5, 10), (0.9, 333), (1.0, 7)):
+            problem = linear_problem(alpha=alpha, lam=-1.0, y0=(1.0, 2.0))
+            grid = problem.grid(N)
+            table = precompute_weights(alpha, N)
+            ha = grid.h**alpha
+            cw = PeceStep(problem, grid).CW
+            assert cw.shape == (N + 1, 2) and cw.flags.c_contiguous
+            assert cw[:, 0].tobytes() == (ha * (table.c - table.a)).tobytes()
+            assert cw[:, 1].tobytes() == np.full(N + 1, ha / math.gamma(alpha + 2.0)).tobytes()
 
     def test_corrector_rejects_non_finite_prediction(self):
         problem = linear_problem(alpha=0.5, lam=-1.0)
@@ -127,15 +143,14 @@ class TestPanelHistory:
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_corrector_matches_brute_force(self, force_panel):
-        problem = FractionalProblem(
-            alpha=0.5, dim=1, rhs=lambda t, y: (t,), y0=[0.0], t_end=1.0
-        )
-        grid = problem.grid(3 * force_panel - 5)
-        traj = solve_serial(problem, grid)
-        for n in (0, force_panel, force_panel + 3, 2 * force_panel + 1, 3 * force_panel - 6):
-            yP, got = advance_over(problem, grid, traj, n)
-            want = brute_force_corrector(problem, grid, traj, n, yP)
-            np.testing.assert_allclose(got, want, rtol=1e-13)
+        for rhs in CORRECTOR_RHS:
+            problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[0.0], t_end=1.0)
+            grid = problem.grid(3 * force_panel - 5)
+            traj = solve_serial(problem, grid)
+            for n in (0, force_panel, force_panel + 3, 2 * force_panel + 1, 3 * force_panel - 6):
+                yP, got = advance_over(problem, grid, traj, n)
+                want = brute_force_corrector(problem, grid, traj, n, yP)
+                np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_ranges_add_up_to_the_whole_history(self, force_panel):
         # any split of 0..n, as the parallel engines make, sums to the

@@ -114,3 +114,26 @@ class TestHindmarshRose:
                     assert isinstance(got, tuple) and len(got) == 3
                     assert all(type(v) is float for v in got)
                     assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_same_floats_for_every_state_form(self):
+        # solves pass a float64 ndarray, whose list is taken as it is; any
+        # other state is converted first, so every form gives the same bits
+        f = rhs_hindmarsh_rose()
+        rng = np.random.default_rng(11)
+        for values in rng.integers(-4000, 4000, size=(30, 3)):
+            columns = np.zeros((3, 5))
+            columns[:, 2] = values
+            forms = (
+                values.tolist(),
+                tuple(values.tolist()),
+                values,
+                values.astype(np.float32),
+                columns[:, 2],
+            )
+            assert values.dtype.kind == "i" and not columns[:, 2].flags.c_contiguous
+            want = f(0.0, values.astype(np.float64))
+            assert all(type(v) is float for v in want)
+            for state in forms:
+                got = f(0.0, state)
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()

@@ -1,0 +1,120 @@
+"""Same-process A/B timing of two fodeabm source trees.
+
+    python3 tools/ab_trees.py OLD_TREE NEW_TREE --workload short-many --rounds 20
+
+Each tree's ``src/fodeabm`` is imported under its own package name, so both
+run in one interpreter and share its memory layout, its CPUs and the host's
+load.  Pairs of runs taken in separate processes carry per-process effects
+that can exceed the gap being measured; pairs taken here do not.
+
+After one untimed round, each round solves the workload's inputs with every
+strategy once per tree, serial -> block -> reduction, and alternates which
+tree goes first.  A round's time for a (tree, strategy) is its mean time per
+solve.  Per strategy the script prints both trees' medians and quartiles,
+the median of the per-round ratios NEW/OLD, the rounds NEW won, and the
+largest deviation of NEW's states from OLD's, scaled by the largest |state|
+(0 means bitwise equal).
+
+The workloads are those of ``perfbench`` (two workers, chunk 1024):
+hr-long (Hindmarsh-Rose, alpha 0.9, N=2e4), short-many (eight power-law
+solves, N=2000) and wide-linear (d=64 linear system, N=5000).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+
+def load(tree: Path, name: str):
+    """Import ``tree/src/fodeabm`` as the package ``name``."""
+    pkg = tree / "src" / "fodeabm"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def inputs(lib, workload: str, seed: int) -> list:
+    """(problem, grid) pairs of the workload, built with the package ``lib``."""
+    rng = np.random.default_rng(seed)
+    P = lib.FractionalProblem
+    if workload == "hr-long":
+        y0 = np.array([0.1, 0.2, 0.2]) + rng.uniform(-1e-3, 1e-3, 3)
+        problems, n = [P(0.9, 3, lib.rhs_hindmarsh_rose(), y0, 500.0)], 20000
+    elif workload == "short-many":
+        problems = [P(a, 1, lib.rhs_power_law(a, 2.0), [0.0], 1.0) for a in rng.uniform(0.3, 1.0, 8)]
+        n = 2000
+    else:
+        problems, n = [P(0.9, 64, lib.rhs_linear(-1.0), rng.uniform(0.5, 1.5, 64), 1.0)], 5000
+    return [(p, p.grid(n)) for p in problems]
+
+
+def strategies(lib) -> dict:
+    return {
+        "serial": lib.solve_serial,
+        "block": lambda problem, grid: lib.solve_block_parallel(problem, grid, 2),
+        "reduction": lambda problem, grid: lib.solve_reduction_parallel(problem, grid, 2, 1024),
+    }
+
+
+def run(lib, name: str, cases: list) -> tuple[float, list]:
+    """Mean seconds per solve of ``cases`` with strategy ``name``, and the states."""
+    solve = strategies(lib)[name]
+    states = []
+    t0 = time.perf_counter()
+    for problem, grid in cases:
+        states.append(solve(problem, grid).states)
+    return (time.perf_counter() - t0) / len(cases), states
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path, help="source tree A (holds src/fodeabm)")
+    ap.add_argument("new", type=Path, help="source tree B")
+    ap.add_argument("--workload", choices=("hr-long", "short-many", "wide-linear"), default="short-many")
+    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--strategy", nargs="+", choices=("serial", "block", "reduction"),
+                    default=["serial", "block", "reduction"])
+    args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2 for quartiles")
+
+    libs = [load(args.old.resolve(), "fodeabm_old"), load(args.new.resolve(), "fodeabm_new")]
+    cases = [inputs(lib, args.workload, args.seed) for lib in libs]
+    times = {(side, s): [] for side in (0, 1) for s in args.strategy}
+    deviation = dict.fromkeys(args.strategy, 0.0)
+    for r in range(args.rounds + 1):
+        for s in args.strategy:
+            out = {}
+            for side in (r % 2, 1 - r % 2):
+                out[side] = run(libs[side], s, cases[side])
+                if r:  # round 0 warms up
+                    times[side, s].append(out[side][0])
+            for a, b in zip(out[0][1], out[1][1]):
+                deviation[s] = max(deviation[s], float(np.abs(b - a).max() / np.abs(a).max()))
+
+    print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}: seconds per solve, "
+          "median [q1, q3]")
+    for s in args.strategy:
+        old, new = times[0, s], times[1, s]
+        q = [statistics.quantiles(t, n=4) for t in (old, new)]
+        ratio = statistics.median(b / a for a, b in zip(old, new))
+        wins = sum(b < a for a, b in zip(old, new))
+        print(f"{s:9s} old {statistics.median(old):.4g} [{q[0][0]:.4g}, {q[0][2]:.4g}]  "
+              f"new {statistics.median(new):.4g} [{q[1][0]:.4g}, {q[1][2]:.4g}]  "
+              f"new/old {ratio:.3f}, new won {wins}/{len(old)}, max deviation {deviation[s]:.3g}")
+
+
+if __name__ == "__main__":
+    main()
