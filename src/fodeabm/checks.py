@@ -149,22 +149,12 @@ def check_strategy_equivalence(
     grid = problem.grid(n_steps)
     ref = solve_serial(problem, grid)
     out = []
-    blk = solve_block_parallel(problem, grid, n_workers)
-    dev = _sup_rel_dev(blk, ref)
-    out.append(
-        CheckResult(
-            f"block strategy P={n_workers}", dev <= EQUIV_TOL, f"sup rel dev {dev:.3e}"
-        )
-    )
-    red = solve_reduction_parallel(problem, grid, n_workers, chunk)
-    dev = _sup_rel_dev(red, ref)
-    out.append(
-        CheckResult(
-            f"reduction strategy P={n_workers} chunk={chunk}",
-            dev <= EQUIV_TOL,
-            f"sup rel dev {dev:.3e}",
-        )
-    )
+    for name, solve, extra in (
+        (f"block strategy P={n_workers}", solve_block_parallel, ()),
+        (f"reduction strategy P={n_workers} chunk={chunk}", solve_reduction_parallel, (chunk,)),
+    ):
+        dev = _sup_rel_dev(solve(problem, grid, n_workers, *extra), ref)
+        out.append(CheckResult(name, dev <= EQUIV_TOL, f"sup rel dev {dev:.3e}"))
     return out
 
 

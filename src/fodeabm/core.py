@@ -49,19 +49,6 @@ class StrategyTimeoutError(RuntimeError):
     """A parallel strategy made no progress before its watchdog expired."""
 
 
-def _all_finite(vec: np.ndarray) -> bool:
-    """Fast non-finite detection for small vectors.
-
-    A non-finite entry makes the vector's dot product with itself non-finite,
-    so a finite product proves the vector finite; a non-finite one (also
-    reached when a square overflows) is confirmed with the exact elementwise
-    check.  ``vec.dot`` skips the dispatch that ``@`` goes through.
-    """
-    if math.isfinite(vec.dot(vec)):
-        return True
-    return bool(np.isfinite(vec).all())
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 < alpha <= 1.0:
@@ -132,10 +119,6 @@ class WeightTable:
     b: np.ndarray
     a: np.ndarray
     c: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.b) - 1
 
 
 def precompute_weights(alpha: float, n_steps: int) -> WeightTable:

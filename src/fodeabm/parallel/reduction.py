@@ -121,19 +121,19 @@ def solve_reduction_parallel(
 
     def helper(w: int) -> None:
         # helpers never time out on their own: they follow the coordinator's
-        # progress until it kills them, or notice that it died
+        # progress until it kills them, or notice that it died.  Forked
+        # inside the coordinator's single_threaded_blas(), they inherit its pin
         try:
-            with single_threaded_blas():
-                for n in range(N):
-                    j0, j1 = spans_for(n // chunk + 1)[w]
-                    if j0 == j1:
-                        continue
-                    lo, hi = j0 * chunk, j1 * chunk
-                    # f_{hi-1} is published with step hi-2; the slot is free
-                    # once the coordinator has consumed step n - RING
-                    _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), orphaned)
-                    slots[w, n % RING] = step.history(n, lo, hi)
-                    sent[w] = n + 1
+            for n in range(N):
+                j0, j1 = spans_for(n // chunk + 1)[w]
+                if j0 == j1:
+                    continue
+                lo, hi = j0 * chunk, j1 * chunk
+                # f_{hi-1} is published with step hi-2; the slot is free
+                # once the coordinator has consumed step n - RING
+                _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), orphaned)
+                slots[w, n % RING] = step.history(n, lo, hi)
+                sent[w] = n + 1
         except _shm.Stopped:
             pass
 
@@ -184,4 +184,6 @@ def solve_reduction_parallel(
         stats["partial_sums_sent"] = sent_partials
         stats["chunk"] = chunk
 
+    # f_cache views the shared history, which keeps its mapping alive; the
+    # helpers, now reaped, only ever read it
     return step.trajectory()

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import single_threaded_blas
-from .core import (
-    FractionalProblem,
-    GridSpec,
-    SolverStepError,
-    _all_finite,
-    precompute_weights,
-)
+from .core import FractionalProblem, GridSpec, SolverStepError, precompute_weights
 
 __all__ = ["Trajectory", "PeceStep", "solve_serial"]
 
@@ -45,7 +39,8 @@ class Trajectory:
     """Computed states y_0..y_N on a uniform grid, with the rhs cache.
 
     Row n of ``states`` is y_n; row n of ``f_cache`` is f(t_n, y_n) evaluated
-    at the accepted state.  Both arrays are read-only.
+    at the accepted state.  Both arrays are read-only; a solve hands over its
+    own buffers, so ``f_cache`` is the transposed view of its history.
     """
 
     grid: GridSpec
@@ -130,7 +125,7 @@ class PeceStep:
         # of a row-major (2, N+1) array is the layout the BLAS reads fastest
         self.WT = RT[:2].T
         self.K = K
-        self._panel = (-1, {})  # (panel start, far products by term range)
+        self._far = ((-1, 0, 0), None)  # ((panel start, lo, mid), far product)
         # row n of CW: step n's corrector weights of f_0 and fP beyond S
         CW = self.CW = np.empty((N + 1, 2))
         CW[:, 0] = ha * (table.c - table.a)
@@ -161,14 +156,14 @@ class PeceStep:
         if self.K == 1 or (mid := min(hi, n - n % self.K)) <= lo:
             return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
         j = n % self.K
-        if self._panel[0] != n - j:
-            self._panel = (n - j, {})
-        far = self._panel[1]
-        if (lo, mid) not in far:
-            far[lo, mid] = self.RT[:, o + j + lo : o + j + mid] @ self.fT[:, lo:mid].T
+        # one product is kept: every caller's lo and mid are non-decreasing
+        # in n, so a replaced key never comes back
+        key = (n - j, lo, mid)
+        if self._far[0] != key:
+            self._far = (key, self.RT[:, o + j + lo : o + j + mid] @ self.fT[:, lo:mid].T)
         # a new array, also when [mid, hi) is empty
         S = self.fT[:, mid:hi] @ self.WT[o + mid : o + hi]
-        S += far[lo, mid][2 * j : 2 * j + 2].T
+        S += self._far[1][2 * j : 2 * j + 2].T
         return S
 
     def _evaluate(self, n: int, t: float, y: np.ndarray, out: np.ndarray) -> None:
@@ -193,7 +188,7 @@ class PeceStep:
             )
         # a finite dot product with itself proves out finite; any other is
         # decided exactly, since a finite square may overflow
-        if not math.isfinite(out.dot(out)) and not _all_finite(out):
+        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
 
     def advance(self, n: int, S: np.ndarray) -> np.ndarray:
@@ -218,10 +213,12 @@ class PeceStep:
         return yP
 
     def trajectory(self) -> Trajectory:
-        """Copies of the states and the rhs cache as a :class:`Trajectory`."""
-        return Trajectory(
-            grid=self.grid, states=np.array(self.Y), f_cache=np.ascontiguousarray(self.fT.T)
-        )
+        """The states ``Y`` and the history ``fT`` as a :class:`Trajectory`, uncopied.
+
+        This ends the step: the trajectory makes ``Y`` and its view of
+        ``fT`` read-only, so no later step can be advanced.
+        """
+        return Trajectory(grid=self.grid, states=self.Y, f_cache=self.fT.T)
 
 
 def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:

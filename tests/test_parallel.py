@@ -322,6 +322,38 @@ parallel_strategies = pytest.mark.parametrize(
 )
 
 
+def rhs_of_t(t, y):
+    # f depends on t only, so every strategy's rhs cache is bitwise serial's
+    return (t, 1.0 - t, t * t)
+
+
+@every_strategy
+def test_trajectory_hands_over_read_only_buffers(solve):
+    problem = FractionalProblem(alpha=0.6, dim=3, rhs=rhs_of_t, y0=[1.0, 2.0, 3.0], t_end=1.0)
+    grid = problem.grid(40)
+    ref = solve_serial(problem, grid)
+    traj = solve(problem, grid)
+    assert multiprocessing.active_children() == []
+    for arr in (traj.states, traj.f_cache):
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+    # a later solve maps and frees its own memory; this history stays
+    solve(linear_problem(0.6, -1.0, y0=(1.0, 2.0)), grid)
+    assert traj.f_cache.tobytes() == ref.f_cache.tobytes()
+
+
+def test_trajectory_shares_the_step_buffers():
+    problem = linear_problem(0.6, -1.0, y0=(1.0, 2.0))
+    grid = problem.grid(10)
+    step = PeceStep(problem, grid)
+    for n in range(grid.n_steps):
+        step.advance(n, step.history(n, 0, n + 1))
+    traj = step.trajectory()
+    assert np.shares_memory(traj.states, step.Y) and np.shares_memory(traj.f_cache, step.fT)
+    with pytest.raises(ValueError):  # the step has ended
+        step.advance(0, step.history(0, 0, 1))
+
+
 @every_strategy
 def test_scalar_rhs_result_is_step_error(solve):
     # a scalar would broadcast into both components if the length went unchecked

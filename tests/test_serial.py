@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fodeabm import FractionalProblem, GridSpec, SolverStepError, solve_serial
-from fodeabm.core import _all_finite, precompute_weights
+from fodeabm.core import precompute_weights
 from fodeabm import serial
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
@@ -300,30 +301,54 @@ class TestProblemValidation:
         np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def evaluating(d):
+    """A d-dimensional PeceStep whose rhs returns ``value[0]``, and ``value``."""
+    value = [np.full(d, 0.5)]
+    problem = FractionalProblem(
+        alpha=0.5, dim=d, rhs=lambda t, y: value[0], y0=np.zeros(d), t_end=1.0
+    )
+    return PeceStep(problem, problem.grid(8)), value
+
+
 class TestAllFinite:
+    """The finiteness check of ``PeceStep._evaluate``, storing into a strided fT column."""
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_in_every_position(self, bad):
         for d in (1, 3, 7):
-            history = np.ones((d, 9))
+            step, value = evaluating(d)
+            column = step.fT[:, 4]
+            assert not column.flags.c_contiguous or d == 1
             for i in range(d):
                 vec = np.full(d, 0.5)
                 vec[i] = bad
-                assert not _all_finite(vec)
-                history[:, 4] = vec
-                column = history[:, 4]
-                assert not column.flags.c_contiguous or d == 1
-                assert not _all_finite(column)
+                value[0] = vec
+                with pytest.raises(SolverStepError) as err:
+                    step._evaluate(3, 0.4, step.Y[0], column)
+                assert (err.value.step, err.value.reason) == (3, "rhs returned a non-finite value")
 
     def test_finite_vectors(self):
-        history = np.linspace(-2.0, 2.0, 3 * 9).reshape(3, 9)
-        assert _all_finite(history[:, 4])
-        assert _all_finite(np.array(history[:, 4]))
+        step, value = evaluating(3)
+        value[0] = np.linspace(-2.0, 2.0, 3 * 9).reshape(3, 9)[:, 4]
+        for out in (step.fT[:, 4], np.empty(3)):
+            step._evaluate(3, 0.4, step.Y[0], out)
+            assert out.tolist() == value[0].tolist()
 
     def test_overflowing_square_decided_exactly(self):
         # 1e200 squared overflows the dot product; the exact check decides
-        vec = np.full(3, 1e200)
-        history = np.full((3, 9), -1e200)
+        step, value = evaluating(3)
+        value[0] = np.full(3, 1e200)
         with np.errstate(over="ignore"):
-            assert math.isinf(vec.dot(vec))
-            assert _all_finite(vec)
-            assert _all_finite(history[:, 4])
+            assert math.isinf(value[0].dot(value[0]))
+            for out in (step.fT[:, 4], np.empty(3)):
+                step._evaluate(3, 0.4, step.Y[0], out)
+                assert out.tolist() == [1e200] * 3
+
+    def test_overflowing_square_warns_once(self):
+        step, value = evaluating(3)
+        value[0] = (1e200,) * 3
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            step._evaluate(3, 0.4, step.Y[0], step.fT[:, 4])
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "overflow" in str(caught[0].message)

@@ -18,13 +18,22 @@ largest deviation of NEW's states from OLD's, scaled by the largest |state|
 The workloads are those of ``perfbench`` (two workers, chunk 1024):
 hr-long (Hindmarsh-Rose, alpha 0.9, N=2e4), short-many (eight power-law
 solves, N=2000) and wide-linear (d=64 linear system, N=5000).
+
+With ``--rss`` the script compares peak memory instead, which two trees in
+one process cannot separate: each round runs each tree in a fresh child
+process, alternating which goes first, and the child solves the workload's
+inputs with every strategy ``RSS_REPEATS`` times.  Per tree it prints the
+median and quartiles of the peak RSS (``ru_maxrss`` of the child or of any
+helper it reaped, as ``perfbench`` reads it) and the rounds NEW was lower.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -77,6 +86,45 @@ def run(lib, name: str, cases: list) -> tuple[float, list]:
     return (time.perf_counter() - t0) / len(cases), states
 
 
+RSS_REPEATS = 4  # solves of the inputs per strategy in an --rss child
+
+
+def peak_rss(tree: str | Path, workload: str, seed: int, names: list) -> float:
+    """Peak RSS in MiB of this process and its reaped helpers after the solves."""
+    lib = load(Path(tree), "fodeabm_tree")
+    cases = inputs(lib, workload, seed)
+    for _ in range(RSS_REPEATS):
+        for s in names:
+            run(lib, s, cases)
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0  # ru_maxrss is in KiB
+
+
+def child_rss(tree: Path, args) -> float:
+    """``peak_rss`` of ``tree`` measured in a fresh interpreter."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import ab_trees; "
+        f"print(ab_trees.peak_rss({str(tree)!r}, {args.workload!r}, {args.seed}, {args.strategy!r}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return float(out.stdout.split()[-1])
+
+
+def main_rss(args) -> None:
+    trees = [args.old.resolve(), args.new.resolve()]
+    rss = ([], [])
+    for r in range(args.rounds):
+        for side in (r % 2, 1 - r % 2):
+            rss[side].append(child_rss(trees[side], args))
+    print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}, "
+          f"{RSS_REPEATS} x {'/'.join(args.strategy)}: peak RSS MiB, median [q1, q3]")
+    q = [statistics.quantiles(t, n=4) for t in rss]
+    lower = sum(b < a for a, b in zip(*rss))
+    print(f"old {statistics.median(rss[0]):.2f} [{q[0][0]:.2f}, {q[0][2]:.2f}]  "
+          f"new {statistics.median(rss[1]):.2f} [{q[1][0]:.2f}, {q[1][2]:.2f}]  "
+          f"new lower {lower}/{args.rounds}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path, help="source tree A (holds src/fodeabm)")
@@ -86,9 +134,14 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--strategy", nargs="+", choices=("serial", "block", "reduction"),
                     default=["serial", "block", "reduction"])
+    ap.add_argument("--rss", action="store_true",
+                    help="compare peak RSS, each tree in a fresh process per round")
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2 for quartiles")
+    if args.rss:
+        main_rss(args)
+        return
 
     libs = [load(args.old.resolve(), "fodeabm_old"), load(args.new.resolve(), "fodeabm_new")]
     cases = [inputs(lib, args.workload, args.seed) for lib in libs]
