@@ -141,10 +141,19 @@ def _sup_rel_dev(a: Trajectory, b: Trajectory) -> float:
     return float(np.max(np.abs(a.states - b.states) / scale))
 
 
+# the smallest N at which every helper of block (P=2) and of reduction (P=2,
+# chunk 1024) has a share of a d=1 history above the helper floor
+EQUIV_STEPS = 14143
+
+
 def check_strategy_equivalence(
-    n_steps: int = 2048, n_workers: int = 2, chunk: int = 1024
+    n_steps: int = EQUIV_STEPS, n_workers: int = 2, chunk: int = 1024
 ) -> list[CheckResult]:
-    """Both parallel strategies against the serial oracle on the power-law problem."""
+    """Both parallel strategies against the serial oracle on the power-law problem.
+
+    A strategy whose stats show that no helper was forked fails: below the
+    helper floor it would be the serial solver compared with itself.
+    """
     problem = _power_problem(0.5)
     grid = problem.grid(n_steps)
     ref = solve_serial(problem, grid)
@@ -153,8 +162,16 @@ def check_strategy_equivalence(
         (f"block strategy P={n_workers}", solve_block_parallel, ()),
         (f"reduction strategy P={n_workers} chunk={chunk}", solve_reduction_parallel, (chunk,)),
     ):
-        dev = _sup_rel_dev(solve(problem, grid, n_workers, *extra), ref)
-        out.append(CheckResult(name, dev <= EQUIV_TOL, f"sup rel dev {dev:.3e}"))
+        stats = {}
+        dev = _sup_rel_dev(solve(problem, grid, n_workers, *extra, stats=stats), ref)
+        partials = int(stats["partial_sums_sent"].sum())
+        out.append(
+            CheckResult(
+                name,
+                dev <= EQUIV_TOL and partials > 0,
+                f"sup rel dev {dev:.3e}, {partials} helper partials",
+            )
+        )
     return out
 
 

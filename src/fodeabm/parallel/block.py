@@ -10,7 +10,9 @@ with n, so total work stays O(N^2) by construction.
 That is the reduction engine at chunk = B: step n has m = n // B + 1 <= P
 chunks, so the coordinator keeps exactly the newest chunk (the owner's range)
 and helper w takes chunk w - 1, which is block w - 1.  A helper's idle steps
-are then the steps before its block, [0, blocks[w].lo).
+are then the steps before its block, [0, blocks[w].lo), when the helpers
+are forked; below the reduction engine's helper floor none is, and the
+solve is the serial one.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ def solve_block_parallel(
 
     With ``n_workers=1`` the result is bitwise identical to the serial
     solver.  ``stats``, when given, receives the reduction engine's
-    per-worker instrumentation (``idle_steps`` is ``blocks[w].lo``; worker 0
-    assembles every step and sends nothing) and the ``plan``.
+    per-worker instrumentation (``idle_steps`` is ``blocks[w].lo`` when the
+    helpers are forked and N when they are not; worker 0 assembles every
+    step and sends nothing) and the ``plan``.
     """
     plan = make_partition(grid.n_steps, n_workers)
     traj = solve_reduction_parallel(

@@ -16,9 +16,9 @@ corrector) product:
 The coordinator adds the helpers' partials in ascending span order to its own
 and runs the shared PECE assembly.  Span boundaries depend only on (n, chunk,
 workers), so a configuration is bitwise reproducible run to run.  When the
-coordinator's span is the whole history (one worker, or one chunk per step)
-its product is the very call the serial solver makes, which keeps the run
-bitwise identical to it.  The coordinator cedes ``_BIAS_TERMS`` history
+coordinator's span is the whole history (one chunk per step) its product is
+the very call the serial solver makes, which keeps the run bitwise
+identical to it.  The coordinator cedes ``_BIAS_TERMS`` history
 terms of its even share to the helpers to pay for the assembly; the
 ceded count depends only on the chunk width.  The rhs and the assembly run
 in the calling process only, so an rhs fails here exactly as in the serial
@@ -30,19 +30,22 @@ helper that lives but stops answering trips the ``watchdog_s`` timeout
 then kills and reaps its helpers.
 
 A helper whose span of a step is empty skips it; those steps are its
-``idle_steps``.
+``idle_steps``.  A helper is forked only when its share of the history pays
+for it.  When a single worker is asked for, or any helper's share (its
+history terms times d, summed over its steps) is below ``_HELPER_FLOOR``,
+the solve is :func:`solve_serial` in the calling process, and every helper
+idles for all N steps.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
 
 from .._threads import single_threaded_blas
 from ..core import FractionalProblem, GridSpec, SolverStepError
-from ..serial import PeceStep, Trajectory
+from ..serial import PeceStep, Trajectory, solve_serial
 from . import _shm
 from ._shm import DEFAULT_WATCHDOG_S, RING
 
@@ -53,6 +56,13 @@ __all__ = ["check_config", "solve_reduction_parallel"]
 # many of its terms to them pays for that assembly; without it, or with the
 # coordinator keeping only the newest chunk, the speedup drops (README).
 _BIAS_TERMS = 4096
+
+# A helper costs 1-2 ms to fork and reap and the coordinator 1.5-2.7 us for
+# each partial it consumes, and it saves 0.2-0.8 ns of contraction per
+# term-dim.  Forced helpers broke even at shares of 2e7-8e7 term-dims
+# (terms times d, summed over the helper's steps) and mostly lost below
+# 5e7; below this floor none is forked (README, The helper floor).
+_HELPER_FLOOR = 5e7
 
 
 def _spans(m: int, workers: int, bias: int) -> list[tuple[int, int]]:
@@ -75,6 +85,37 @@ def _spans(m: int, workers: int, bias: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _span_table(n_steps: int, workers: int, chunk: int) -> list[tuple[int, int, list]]:
+    """(n0, n1, spans) per chunk period: the steps [n0, n1) have m chunks.
+
+    Span boundaries change only where a step gains a chunk, so this table
+    is every step's split.
+    """
+    bias = round(_BIAS_TERMS / chunk)
+    return [
+        ((m - 1) * chunk, min(m * chunk, n_steps), _spans(m, workers, bias))
+        for m in range(1, (n_steps - 1) // chunk + 2)
+    ]
+
+
+def _helper_work(table, workers: int, chunk: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per worker, its active steps and its share of the history in term-dims.
+
+    A worker is active on the steps whose span for it is not empty.  Its
+    share is its span width in terms times ``dim``, summed over those
+    steps; entry 0 counts the coordinator's newest, incomplete chunk as
+    full.
+    """
+    steps = np.zeros(workers, np.int64)
+    share = np.zeros(workers, np.int64)
+    for n0, n1, spans in table:
+        for w, (j0, j1) in enumerate(spans):
+            if j1 > j0:
+                steps[w] += n1 - n0
+                share[w] += (n1 - n0) * (j1 - j0) * chunk * dim
+    return steps, share
+
+
 def check_config(n_steps: int, n_workers: int, chunk: int) -> None:
     """Refuse a worker count outside [1, n_steps] or a chunk below 1."""
     if not 1 <= n_workers <= n_steps:
@@ -95,24 +136,47 @@ def solve_reduction_parallel(
     """Solve with chunked history reduction across ``n_workers`` processes.
 
     The calling process acts as worker 0 and coordinator; ``n_workers - 1``
-    helper processes are forked.  ``chunk`` of at least N, or a single
-    worker, is bitwise identical to :func:`solve_serial`.  ``stats``, when
-    given, receives per-worker ``idle_steps`` (steps whose span was empty)
-    and ``partial_sums_sent`` (two per helper message), and the ``chunk``.
+    helper processes are forked, unless a helper's share of the history is
+    below ``_HELPER_FLOOR``.  A single worker, ``chunk`` of at least N, or a
+    share below the floor is bitwise identical to :func:`solve_serial`.
+    ``stats``, when given, receives per-worker ``idle_steps`` (steps whose
+    span was empty, or all N for a helper not forked) and
+    ``partial_sums_sent`` (two per helper message), and the ``chunk``.
     """
     N = grid.n_steps
-    d = problem.dim
     P = int(n_workers)
     chunk = int(chunk)
     check_config(N, P, chunk)
-    bias = round(_BIAS_TERMS / chunk)
+    table = _span_table(N, P, chunk)
+    steps, share = _helper_work(table, P, chunk, problem.dim)
+    if P == 1 or share[1:].min() < _HELPER_FLOOR:
+        steps[1:] = 0
+        traj = solve_serial(problem, grid)
+    else:
+        traj = _solve_forked(problem, grid, P, chunk, table, watchdog_s)
+    if stats is not None:
+        stats["idle_steps"] = N - steps
+        # a helper sends one predictor and one corrector partial every step
+        # it is active; the coordinator sends nothing
+        sent_partials = 2 * steps
+        sent_partials[0] = 0
+        stats["partial_sums_sent"] = sent_partials
+        stats["chunk"] = chunk
+    return traj
+
+
+def _solve_forked(problem, grid, P: int, chunk: int, table, watchdog_s: float) -> Trajectory:
+    """The engine proper: fork P - 1 helpers and coordinate the steps of ``table``."""
+    N = grid.n_steps
+    d = problem.dim
 
     done = _shm.counters(1)             # last step whose f_{n+1} is published
     sent = _shm.counters(P)             # helper progress, one per worker
     step = PeceStep(problem, grid, fT=_shm.shared((d, N + 1)))
-    slots = _shm.shared((P, RING, d, 2))
+    # ring r of worker w, transposed: a column-major (d, 2) slot per step,
+    # laid out as the coordinator's own sums
+    rings = _shm.shared((P, RING, 2, d)).transpose(0, 1, 3, 2)
     done[0] = -1
-    spans_for = functools.lru_cache(maxsize=None)(lambda m: _spans(m, P, bias))
 
     coordinator = os.getpid()
 
@@ -123,17 +187,19 @@ def solve_reduction_parallel(
         # helpers never time out on their own: they follow the coordinator's
         # progress until it kills them, or notice that it died.  Forked
         # inside the coordinator's single_threaded_blas(), they inherit its pin
+        history, ring = step.history, rings[w]
         try:
-            for n in range(N):
-                j0, j1 = spans_for(n // chunk + 1)[w]
+            for n0, n1, spans in table:
+                j0, j1 = spans[w]
                 if j0 == j1:
                     continue
                 lo, hi = j0 * chunk, j1 * chunk
-                # f_{hi-1} is published with step hi-2; the slot is free
-                # once the coordinator has consumed step n - RING
-                _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), orphaned)
-                slots[w, n % RING] = step.history(n, lo, hi)
-                sent[w] = n + 1
+                for n in range(n0, n1):
+                    # f_{hi-1} is published with step hi-2; the slot is free
+                    # once the coordinator has consumed step n - RING
+                    _shm.wait_for(done, 0, max(hi - 2, n - RING + 2), orphaned)
+                    history(n, lo, hi, ring[n % RING])
+                    sent[w] = n + 1
         except _shm.Stopped:
             pass
 
@@ -141,24 +207,23 @@ def solve_reduction_parallel(
     n = w = 0
     try:
         with single_threaded_blas():
-            if P > 1:
-                procs = _shm.fork_processes(helper, range(1, P))
+            procs = _shm.fork_processes(helper, range(1, P))
             # a helper exits with code 0 once it has sent its last partial,
             # possibly while another is still awaited, so only the awaited
             # helper's exit counts
             exited = [None] + [lambda p=p: p.exitcode is not None for p in procs]
-            advance, history = step.advance, step.history
-            for n in range(N):
-                spans = spans_for(n // chunk + 1)
-                S = history(n, spans[0][0] * chunk, n + 1)
-                ring = n % RING
-                for w in range(1, P):
-                    j0, j1 = spans[w]
-                    if j1 > j0:
-                        _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
-                        S += slots[w, ring]
-                advance(n, S)
-                done[0] = n
+            advance, history, S = step.advance, step.history, step.S
+            for n0, n1, spans in table:
+                lo = spans[0][0] * chunk
+                active = [w for w in range(1, P) if spans[w][1] > spans[w][0]]
+                for n in range(n0, n1):
+                    history(n, lo, n + 1, S)
+                    for w in active:
+                        if sent[w] <= n:
+                            _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
+                        S += rings[w, n % RING]
+                    advance(n)
+                    done[0] = n
     except _shm.Stopped:
         raise SolverStepError(
             f"worker failed: helper {w} exited with code {procs[w - 1].exitcode}",
@@ -167,22 +232,6 @@ def solve_reduction_parallel(
         ) from None
     finally:
         _shm.shutdown(procs)
-
-    if stats is not None:
-        # a worker idles on the steps whose span for it is empty; the steps
-        # with m chunks are [(m-1)*chunk, m*chunk) cut at N
-        idle = np.zeros(P, np.int64)
-        for m in range(1, (N - 1) // chunk + 2):
-            for v, (j0, j1) in enumerate(spans_for(m)):
-                if j0 == j1:
-                    idle[v] += min(chunk, N - (m - 1) * chunk)
-        stats["idle_steps"] = idle
-        # a helper sends one predictor and one corrector partial every step
-        # its span is not empty; the coordinator sends nothing
-        sent_partials = 2 * (N - idle)
-        sent_partials[0] = 0
-        stats["partial_sums_sent"] = sent_partials
-        stats["chunk"] = chunk
 
     # f_cache views the shared history, which keeps its mapping alive; the
     # helpers, now reaped, only ever read it

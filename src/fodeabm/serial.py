@@ -10,14 +10,15 @@ One step advances y_n -> y_{n+1} in PECE form:
 
 The history sums run over every previous step, which is what makes the total
 cost O(N^2).  Both sums read the same history f_0..f_n, so :class:`PeceStep`
-forms them as one (d x n+1) @ (n+1 x 2) product against the reversed b and a
+forms them as one (d x n+1) @ (n+1 x 2) product against the reversed a and b
 weights, scaled by h^alpha and stacked side by side.  Its corrector column
 weights f_0 with a_n, so any range of terms is one product over both full
 columns, which lets the parallel engines split k = 0..n into ranges and add
-the partial products.  The rest of the corrector, h^alpha ((c_n - a_n) f_0 +
-fP / Gamma(alpha+2)), is one more product: the (d x 2) columns [f_0, fP]
-against row n of a table of both weights.  ``f_cache`` keeps f at accepted
-states only; the predictor evaluation fP is transient.
+the partial products.  The step keeps one (d x 4) buffer G = [f_0, fP, S_c,
+S_p]: the sums are written into its last two columns, and y_{n+1} is one
+more product, G[:, 0:3] @ (h^alpha (c_n - a_n), h^alpha / Gamma(alpha+2), 1).
+``f_cache`` keeps f at accepted states only; the predictor evaluation fP is
+transient.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ class PeceStep:
     ``Y`` is (N+1, d); ``fT`` is (d, N+1), allocated unless given, as the
     parallel engines give a view of their shared memory.  Construction
     stores y_0 and f_0, so a failing f(0, y0) is :class:`SolverStepError` at
-    step 0, checked like every later evaluation.  Step n is ``advance(n, S)``
-    where S is ``history(n, 0, n + 1)`` or the sum of ``history`` over ranges
-    that partition 0..n.
+    step 0, checked like every later evaluation.  The step owns the
+    column-major (d, 4) buffer ``G`` = [f_0, fP, S_c, S_p].  Step n writes
+    its history sums into ``S``, the view ``G[:, 2:4]``, with
+    ``history(n, 0, n + 1, S)`` or as the sum of ``history`` over ranges
+    that partition 0..n, and then calls ``advance(n)``.
     """
 
     def __init__(
@@ -111,60 +114,66 @@ class PeceStep:
         K = _panel_width(d, N)
         table = precompute_weights(problem.alpha, N)
         ha = grid.h ** problem.alpha
-        # row 2j+c of RT is h^alpha times the reversed b (c=0) or a (c=1)
+        # row 2j+c of RT is h^alpha times the reversed a (c=0) or b (c=1)
         # weights shifted right by j: RT[2j+c, N-s+k] is step s+j's weight
         # of f_k, so one product over RT serves a whole panel of K steps
         RT = self.RT = np.empty((2 * K, N + 1))
-        RT[0] = table.b[::-1]
-        RT[1] = table.a[::-1]
+        RT[0] = table.a[::-1]
+        RT[1] = table.b[::-1]
         RT[:2] *= ha
         for j in range(1, K):
             RT[2 * j : 2 * j + 2, j:] = RT[:2, : N + 1 - j]
             RT[2 * j : 2 * j + 2, :j] = 0.0  # weights of steps past N
-        # row N-n+k of WT is h^alpha (b_{n-k}, a_{n-k}); the transposed view
+        # row N-n+k of WT is h^alpha (a_{n-k}, b_{n-k}); the transposed view
         # of a row-major (2, N+1) array is the layout the BLAS reads fastest
         self.WT = RT[:2].T
         self.K = K
         self._far = ((-1, 0, 0), None)  # ((panel start, lo, mid), far product)
-        # row n of CW: step n's corrector weights of f_0 and fP beyond S
-        CW = self.CW = np.empty((N + 1, 2))
-        CW[:, 0] = ha * (table.c - table.a)
-        CW[:, 1] = ha / math.gamma(problem.alpha + 2.0)
+        # CW[n] = h^alpha (c_n - a_n): step n's weight of f_0 beyond the a_n
+        # that S_c gives it; its weight of fP is the same for every step
+        self.CW = ha * (table.c - table.a)
+        # G = [f_0, fP, S_c, S_p] column by column, so every column is a
+        # contiguous vector and y_{n+1} = G[:, 0:3] @ (CW[n], fP weight, 1);
+        # summed in this order, y_{n+1} rounds as (f_0, fP terms) + S_c
+        G = self.G = np.empty((d, 4), order="F")
+        self.S = G[:, 2:4]
+        self.yP = G[:, 3]
+        self.fP = G[:, 1]
+        self._tail = G[:, 0:3]
+        self._tail_weights = np.array([0.0, ha / math.gamma(problem.alpha + 2.0), 1.0])
         self.grid = grid
         self.N = N
         self.dim = d
         self.h = grid.h
-        self.y0_columns = np.column_stack((problem.y0, problem.y0))
+        self.y0_columns = np.asfortranarray(np.column_stack((problem.y0, problem.y0)))
         self.rhs = problem.rhs
         self.Y = np.empty((N + 1, d))
         self.fT = np.empty((d, N + 1)) if fT is None else fT
         self.Y[0] = problem.y0
         self._evaluate(0, 0.0, problem.y0, self.fT[:, 0])
-        # column 0 is f_0, column 1 the predictor's evaluation fP
-        self.F = np.empty((d, 2))
-        self.F[:, 0] = self.fT[:, 0]
-        self.fP = self.F[:, 1]
+        G[:, 0] = self.fT[:, 0]
 
-    def history(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """Step n's predictor and corrector sums over k in [lo, hi), times h^alpha.
+    def history(self, n: int, lo: int, hi: int, out: np.ndarray) -> None:
+        """Step n's corrector and predictor sums over k in [lo, hi), times h^alpha.
 
-        Returns a new (d, 2) array: column 0 the b-weighted, column 1 the
-        a-weighted sum.  With K > 1 the terms below step n's panel are one
-        product per panel and range, kept for the panel's other steps.
+        Writes the (d, 2) ``out``: column 0 the a-weighted (corrector),
+        column 1 the b-weighted (predictor) sum.  With K > 1 the terms
+        below step n's panel are one product per panel and range, kept for
+        the panel's other steps and added into ``out`` in place.
         """
         o = self.N - n
         if self.K == 1 or (mid := min(hi, n - n % self.K)) <= lo:
-            return self.fT[:, lo:hi] @ self.WT[o + lo : o + hi]
+            np.matmul(self.fT[:, lo:hi], self.WT[o + lo : o + hi], out=out)
+            return
         j = n % self.K
         # one product is kept: every caller's lo and mid are non-decreasing
         # in n, so a replaced key never comes back
         key = (n - j, lo, mid)
         if self._far[0] != key:
             self._far = (key, self.RT[:, o + j + lo : o + j + mid] @ self.fT[:, lo:mid].T)
-        # a new array, also when [mid, hi) is empty
-        S = self.fT[:, mid:hi] @ self.WT[o + mid : o + hi]
-        S += self._far[1][2 * j : 2 * j + 2].T
-        return S
+        # zeros when [mid, hi) is empty
+        np.matmul(self.fT[:, mid:hi], self.WT[o + mid : o + hi], out=out)
+        out += self._far[1][2 * j : 2 * j + 2].T
 
     def _evaluate(self, n: int, t: float, y: np.ndarray, out: np.ndarray) -> None:
         """f(t, y) into ``out``, checked for failure, length and finiteness."""
@@ -191,24 +200,26 @@ class PeceStep:
         if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
             raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
 
-    def advance(self, n: int, S: np.ndarray) -> np.ndarray:
-        """Predict, evaluate, correct and evaluate step n from its sums S.
+    def advance(self, n: int) -> np.ndarray:
+        """Predict, evaluate, correct and evaluate step n from its sums in ``S``.
 
-        S is overwritten: column 0 with the predicted state, column 1 with
-        the corrector's sums plus y_0.  Forms y_{n+1} in row n+1 of ``Y``
-        and evaluates f_{n+1} straight into column n+1 of ``fT``; returns
-        the predicted state.  Raises :class:`SolverStepError` for step n,
-        with the cause chained, if an rhs evaluation raises, returns other
-        than ``dim`` values, or is non-finite; column n+1 of ``fT`` may then
-        hold the failing values.
+        Adds y_0 to both sums, so the last column of ``G`` becomes the
+        predicted state, evaluated into ``fP``.  Forms y_{n+1} in row n+1 of
+        ``Y`` as one product of ``G[:, 0:3]`` and evaluates f_{n+1} straight
+        into column n+1 of ``fT``; returns the predicted state, a view of
+        ``G``.  Raises :class:`SolverStepError` for step n, with the cause
+        chained, if an rhs evaluation raises, returns other than ``dim``
+        values, or is non-finite; column n+1 of ``fT`` may then hold the
+        failing values.
         """
         t1 = (n + 1) * self.h
-        S += self.y0_columns
-        yP = S[:, 0]
+        self.S += self.y0_columns
+        yP = self.yP
         self._evaluate(n, t1, yP, self.fP)
+        w = self._tail_weights
+        w[0] = self.CW[n]
         y1 = self.Y[n + 1]
-        self.F.dot(self.CW[n], y1)
-        y1 += S[:, 1]
+        self._tail.dot(w, y1)
         self._evaluate(n, t1, y1, self.fT[:, n + 1])
         return yP
 
@@ -229,8 +240,9 @@ def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:
     soon as any rhs evaluation fails or produces a non-finite value.
     """
     step = PeceStep(problem, grid)
-    advance, history = step.advance, step.history
+    advance, history, S = step.advance, step.history, step.S
     with single_threaded_blas():
         for n in range(grid.n_steps):
-            advance(n, history(n, 0, n + 1))
+            history(n, 0, n + 1, S)
+            advance(n)
     return step.trajectory()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fodeabm import FractionalProblem, _threads, make_partition, owner, serial
+from fodeabm.parallel import reduction
 from fodeabm.systems import rhs_constant, rhs_hindmarsh_rose, rhs_linear, rhs_power_law
 
 # Criterion 5 as documented: a host with 4 usable cores, Hindmarsh-Rose at
@@ -178,6 +179,18 @@ def force_panel(monkeypatch):
     """Every PeceStep built in the test uses panels of ``serial.PANEL`` steps."""
     monkeypatch.setattr(serial, "_panel_width", lambda dim, n_steps: serial.PANEL)
     return serial.PANEL
+
+
+@pytest.fixture
+def force_helpers(monkeypatch):
+    """block and reduction fork their helpers however small their share."""
+    monkeypatch.setattr(reduction, "_HELPER_FLOOR", 0)
+
+
+def min_helper_share(n_steps: int, dim: int, workers: int, chunk: int) -> int:
+    """The smallest helper share, in term-dims, of a reduction-engine solve."""
+    table = reduction._span_table(n_steps, workers, chunk)
+    return int(reduction._helper_work(table, workers, chunk, dim)[1][1:].min())
 
 
 def sup_rel_dev(a: np.ndarray, b: np.ndarray) -> float:

@@ -107,7 +107,9 @@ def test_criterion_3_mittag_leffler_cross_check():
     assert elapsed < 10.0
 
 
-def test_criterion_4_strategy_equivalence():
+def test_criterion_4_strategy_equivalence(force_helpers):
+    # at N=4096 most helpers' shares are below the helper floor; forced, the
+    # parallel sums are what is compared
     t0 = time.perf_counter()
     n_steps = 4096
     cases = [
@@ -239,9 +241,9 @@ def contraction_seconds(problem, n_steps: int) -> float:
     with single_threaded_blas():
         for n in range(n_steps):
             start = time.perf_counter()
-            S = step.history(n, 0, n + 1)
+            step.history(n, 0, n + 1, step.S)
             spent += time.perf_counter() - start
-            step.advance(n, S)
+            step.advance(n)
     return spent
 
 
@@ -324,7 +326,7 @@ def test_criterion_8_hindmarsh_rose_long_run():
     assert elapsed < 120.0
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(force_helpers):
     t0 = time.perf_counter()
     rng = random.Random(987654321)
     violations = 0

@@ -25,12 +25,14 @@ class TestSweep:
         assert record.wall_time_s > 0.0 and not record.error
         assert idle_rows == []
 
-    def test_block_cell_yields_idle_rows(self):
+    def test_block_cell_yields_idle_rows(self, force_helpers):
         problem = linear_problem(0.5, -1.0)
         _, idle_rows = run_sweep(
             problem, strategies=("block",), n_list=(200,), workers_list=(2,), repetitions=1
         )
         assert [row["worker"] for row in idle_rows] == [0, 1]
+        # the forced helper owns block 0 and sends its partials from step 100
+        assert [(row["idle_steps"], row["messages_sent"]) for row in idle_rows] == [(0, 0), (100, 200)]
 
     def test_unknown_strategy(self):
         # rejected before any solve, so not one rhs call is spent on it
@@ -71,7 +73,7 @@ class TestSweep:
             run_sweep(problem, **{"n_list": (500,), "repetitions": 1, **sweep})
         assert calls == []
 
-    def test_speedups_and_schema(self):
+    def test_speedups_and_schema(self, force_helpers):
         problem = linear_problem(0.5, -1.0)
         records, idle_rows = run_sweep(
             problem,

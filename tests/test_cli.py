@@ -57,7 +57,7 @@ class TestSolve:
         assert np.array_equal(got, ref.states[:, 0])
 
     @pytest.mark.parametrize("strategy", ["block", "reduction"])
-    def test_parallel_strategies_from_cli(self, tmp_path, strategy):
+    def test_parallel_strategies_from_cli(self, tmp_path, strategy, force_helpers):
         out = tmp_path / "traj.csv"
         rc = run_cli(
             [
@@ -221,7 +221,7 @@ class TestConfigFile:
 
 
 class TestBench:
-    def test_sweep_writes_records_and_idle(self, tmp_path, capsys):
+    def test_sweep_writes_records_and_idle(self, tmp_path, capsys, force_helpers):
         out = tmp_path / "bench.csv"
         rc = run_cli(
             [

@@ -23,10 +23,25 @@ from fodeabm import (
     solve_serial,
 )
 
+from fodeabm.parallel import _shm, reduction
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
-from conftest import constant_problem, hr_problem, linear_problem, power_problem, sup_rel_dev
+from conftest import (
+    constant_problem,
+    hr_problem,
+    linear_problem,
+    min_helper_share,
+    power_problem,
+    sup_rel_dev,
+)
+
+# The solves here are small, so below the helper floor block and reduction
+# would run serial's loop; they fork their helpers anyway, so the helper
+# sums, error paths and stats are tested.  TestHelperFloor sets the floor.
+pytestmark = pytest.mark.usefixtures("force_helpers")
+
+SHIPPED_FLOOR = reduction._HELPER_FLOOR
 
 
 class TestPartition:
@@ -302,6 +317,86 @@ class TestPanelHistory:
             assert sup_rel_dev(got.states, ref.states) <= 1e-8
 
 
+def refuse_fork(*args, **kwargs):
+    raise AssertionError("a helper was forked")
+
+
+class TestHelperFloor:
+    """A helper is forked only when its share of the history pays for it."""
+
+    @pytest.mark.parametrize(
+        "n_steps, workers, chunk",
+        [(2000, 2, 1024), (2000, 2, 1000), (700, 3, 64), (1000, 4, 250), (5, 4, 2), (4096, 5, 100)],
+    )
+    def test_share_table_matches_brute_force(self, n_steps, workers, chunk):
+        dim = 3
+        steps = np.zeros(workers, np.int64)
+        share = np.zeros(workers, np.int64)
+        bias = round(reduction._BIAS_TERMS / chunk)
+        for n in range(n_steps):
+            for w, (j0, j1) in enumerate(reduction._spans(n // chunk + 1, workers, bias)):
+                if j1 > j0:
+                    steps[w] += 1
+                    share[w] += (j1 - j0) * chunk * dim
+        table = reduction._span_table(n_steps, workers, chunk)
+        got = reduction._helper_work(table, workers, chunk, dim)
+        assert got[0].tolist() == steps.tolist() and got[1].tolist() == share.tolist()
+
+    def test_shipped_floor_separates_the_workloads(self):
+        # the benchmark's short-many solves are below it; hr-long,
+        # wide-linear and criteria 5 and 7 fork
+        block = lambda n, p: make_partition(n, p).block_size  # noqa: E731
+        below = [(2000, 1, 2, 1024), (2000, 1, 2, block(2000, 2))]
+        above = [
+            (20000, 3, 2, 1024), (20000, 3, 2, block(20000, 2)),
+            (5000, 64, 2, 1024), (5000, 64, 2, block(5000, 2)),
+            (50000, 3, 2, 1024), (50000, 3, 2, block(50000, 2)),
+            (20000, 3, 4, block(20000, 4)),
+        ]
+        assert all(min_helper_share(*case) < SHIPPED_FLOOR for case in below)
+        assert all(min_helper_share(*case) >= SHIPPED_FLOOR for case in above)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda problem, grid, stats: solve_block_parallel(problem, grid, 2, stats=stats),
+            lambda problem, grid, stats: solve_reduction_parallel(problem, grid, 3, 64, stats=stats),
+        ],
+        ids=["block", "reduction"],
+    )
+    def test_below_floor_is_serial_without_a_fork(self, solve, monkeypatch):
+        monkeypatch.setattr(reduction, "_HELPER_FLOOR", SHIPPED_FLOOR)
+        monkeypatch.setattr(_shm, "fork_processes", refuse_fork)
+        for problem, n_steps in ((power_problem(0.5), 2000), (hr_problem(t_end=10.0), 700)):
+            grid = problem.grid(n_steps)
+            ref = solve_serial(problem, grid)
+            stats = {}
+            got = solve(problem, grid, stats)
+            assert got.states.tobytes() == ref.states.tobytes()
+            assert got.f_cache.tobytes() == ref.f_cache.tobytes()
+            workers = len(stats["idle_steps"])
+            assert stats["idle_steps"].tolist() == [0] + [n_steps] * (workers - 1)
+            assert stats["partial_sums_sent"].tolist() == [0] * workers
+
+    @pytest.mark.parametrize("workers, chunk", [(2, 300), (3, 64)])
+    def test_decision_flips_at_the_floor(self, workers, chunk, monkeypatch):
+        problem = linear_problem(0.6, -1.0, y0=(1.0, 2.0))
+        grid = problem.grid(1000)
+        floor = min_helper_share(grid.n_steps, problem.dim, workers, chunk)
+        monkeypatch.setattr(reduction, "_HELPER_FLOOR", floor)
+        stats = {}
+        forked = solve_reduction_parallel(problem, grid, workers, chunk, stats=stats)
+        assert (stats["partial_sums_sent"][1:] > 0).all()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(reduction, "_HELPER_FLOOR", floor + 1)
+        monkeypatch.setattr(_shm, "fork_processes", refuse_fork)
+        stats = {}
+        alone = solve_reduction_parallel(problem, grid, workers, chunk, stats=stats)
+        assert stats["partial_sums_sent"].tolist() == [0] * workers
+        assert alone.states.tobytes() == solve_serial(problem, grid).states.tobytes()
+        assert sup_rel_dev(forked.states, alone.states) <= 1e-12
+
+
 STRATEGY_SOLVES = {
     "serial": solve_serial,
     "block": lambda problem, grid: solve_block_parallel(problem, grid, 2),
@@ -347,11 +442,13 @@ def test_trajectory_shares_the_step_buffers():
     grid = problem.grid(10)
     step = PeceStep(problem, grid)
     for n in range(grid.n_steps):
-        step.advance(n, step.history(n, 0, n + 1))
+        step.history(n, 0, n + 1, step.S)
+        step.advance(n)
     traj = step.trajectory()
     assert np.shares_memory(traj.states, step.Y) and np.shares_memory(traj.f_cache, step.fT)
     with pytest.raises(ValueError):  # the step has ended
-        step.advance(0, step.history(0, 0, 1))
+        step.history(0, 0, 1, step.S)
+        step.advance(0)
 
 
 @every_strategy
@@ -560,10 +657,10 @@ def test_raising_helper_is_step_error(solve, monkeypatch):
     coordinator = os.getpid()
     history = PeceStep.history
 
-    def failing(self, n, lo, hi):
+    def failing(self, n, lo, hi, out):
         if os.getpid() != coordinator:
             raise RuntimeError("helper gave up")
-        return history(self, n, lo, hi)
+        history(self, n, lo, hi, out)
 
     monkeypatch.setattr(PeceStep, "history", failing)
     with pytest.raises(SolverStepError, match="worker failed: helper 1 exited with code 1") as err:

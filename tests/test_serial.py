@@ -55,7 +55,8 @@ def step_over(problem, grid, traj, n):
 def advance_over(problem, grid, traj, n):
     """Run step n of the shared kernel on ``traj``'s history: (yP, y_{n+1})."""
     step = step_over(problem, grid, traj, n)
-    yP = step.advance(n, step.history(n, 0, n + 1))
+    step.history(n, 0, n + 1, step.S)
+    yP = step.advance(n)
     return yP, step.Y[n + 1]
 
 
@@ -108,26 +109,44 @@ class TestStepOperations:
                 np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_corrector_tail_weights_bitwise(self):
-        # row n of CW: h^alpha (c_n - a_n) for f_0, h^alpha / Gamma(alpha+2) for fP
+        # CW[n] = h^alpha (c_n - a_n) weights f_0; every step weights fP with
+        # h^alpha / Gamma(alpha+2) and its corrector sum S_c with 1
         for alpha, N in ((0.5, 10), (0.9, 333), (1.0, 7)):
             problem = linear_problem(alpha=alpha, lam=-1.0, y0=(1.0, 2.0))
             grid = problem.grid(N)
             table = precompute_weights(alpha, N)
             ha = grid.h**alpha
-            cw = PeceStep(problem, grid).CW
-            assert cw.shape == (N + 1, 2) and cw.flags.c_contiguous
-            assert cw[:, 0].tobytes() == (ha * (table.c - table.a)).tobytes()
-            assert cw[:, 1].tobytes() == np.full(N + 1, ha / math.gamma(alpha + 2.0)).tobytes()
+            step = PeceStep(problem, grid)
+            assert step.CW.shape == (N + 1,)
+            assert step.CW.tobytes() == (ha * (table.c - table.a)).tobytes()
+            assert step._tail_weights[1:].tolist() == [ha / math.gamma(alpha + 2.0), 1.0]
+
+    def test_step_buffer_layout(self):
+        # G = [f_0, fP, S_c, S_p], column-major: every column is contiguous
+        problem = linear_problem(alpha=0.6, lam=-1.0, y0=(1.0, 2.0, 3.0))
+        grid = problem.grid(10)
+        step = PeceStep(problem, grid)
+        assert step.G.shape == (3, 4) and step.G.flags.f_contiguous
+        assert np.shares_memory(step.S, step.G[:, 2:4]) and step.S.flags.f_contiguous
+        assert np.shares_memory(step.fP, step.G[:, 1])
+        assert step.G[:, 0].tolist() == step.fT[:, 0].tolist() == [-1.0, -2.0, -3.0]
+        step.history(0, 0, 1, step.S)
+        # S_c then S_p: f_0 weighted by h^alpha a_0, then by h^alpha b_0
+        table = precompute_weights(0.6, 10)
+        ha = grid.h**0.6
+        assert step.S.tolist() == [[v * (ha * table.a[0]), v * (ha * table.b[0])] for v in (-1.0, -2.0, -3.0)]
+        yP = step.advance(0)
+        assert np.shares_memory(yP, step.G[:, 3])
 
     def test_corrector_rejects_non_finite_prediction(self):
         problem = linear_problem(alpha=0.5, lam=-1.0)
         grid = problem.grid(4)
         traj = solve_serial(problem, grid)
         step = step_over(problem, grid, traj, 1)
-        S = step.history(1, 0, 2)
-        S[0, 0] = float("nan")
+        step.history(1, 0, 2, step.S)
+        step.S[0, 0] = float("nan")
         with pytest.raises(SolverStepError) as err:
-            step.advance(1, S)
+            step.advance(1)
         assert err.value.step == 1
 
 
@@ -160,11 +179,26 @@ class TestPanelHistory:
         grid = problem.grid(100)
         traj = solve_serial(problem, grid)
         step = step_over(problem, grid, traj, grid.n_steps)
+        whole, below, above = (np.empty((3, 2)) for _ in range(3))
         for n in range(grid.n_steps):
-            whole = step.history(n, 0, n + 1)
+            step.history(n, 0, n + 1, whole)
             for cut in {0, n // 3, n // 2 + 1, n - n % force_panel}:
-                parts = step.history(n, 0, cut) + step.history(n, cut, n + 1)
-                np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=1e-15)
+                step.history(n, 0, cut, below)
+                step.history(n, cut, n + 1, above)
+                np.testing.assert_allclose(below + above, whole, rtol=1e-12, atol=1e-15)
+
+    def test_sums_fill_the_given_buffer(self, force_panel):
+        # history writes its sums, whatever the buffer held, on either path
+        problem = linear_problem(alpha=0.7, lam=-1.0, y0=(1.0, 2.0))
+        grid = problem.grid(3 * force_panel)
+        traj = solve_serial(problem, grid)
+        step = step_over(problem, grid, traj, grid.n_steps)
+        for n in (0, force_panel - 1, force_panel, 2 * force_panel + 3):
+            want = np.empty((2, 2))
+            step.history(n, 0, n + 1, want)
+            for out in (np.full((2, 2), np.nan), np.full((2, 4), np.nan, order="F")[:, 1:3]):
+                step.history(n, 0, n + 1, out)
+                assert out.tobytes() == want.tobytes()
 
     def test_panel_solve_matches_unpanelled(self, force_panel, monkeypatch):
         problem = linear_problem(alpha=0.8, lam=-1.0, y0=np.linspace(0.5, 1.5, 5))

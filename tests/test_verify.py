@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from fodeabm import ConvergenceReport, exact_power_law, mittag_leffler, observed_order, solve_serial
+from fodeabm import (
+    ConvergenceReport,
+    exact_power_law,
+    make_partition,
+    mittag_leffler,
+    observed_order,
+    solve_serial,
+)
 from fodeabm.checks import (
+    EQUIV_STEPS,
     check_constant_forcing,
     check_linear_mittag_leffler,
     check_power_law_orders,
+    check_strategy_equivalence,
     power_law_study,
 )
+from fodeabm.parallel import reduction
 
-from conftest import linear_problem
+from conftest import linear_problem, min_helper_share
 
 E_HALF_MINUS_ONE = 0.42758357615580700441  # e * erfc(1)
 E_HALF_PLUS_ONE = 5.0089800807622834663    # e * erfc(-1)
@@ -148,6 +158,33 @@ class TestSolverAgainstOracles:
         assert reports[0].problem.startswith("power-law")
         assert check_linear_mittag_leffler(n_steps=1000).passed
         assert check_constant_forcing().passed
+
+
+class TestStrategyEquivalenceCheck:
+    NAMES = ["block strategy P=2", "reduction strategy P=2 chunk=1024"]
+
+    def test_runs_at_the_smallest_n_where_both_strategies_fork(self):
+        def forks(n_steps):
+            return all(
+                min_helper_share(n_steps, 1, 2, chunk) >= reduction._HELPER_FLOOR
+                for chunk in (make_partition(n_steps, 2).block_size, 1024)
+            )
+
+        assert forks(EQUIV_STEPS) and not forks(EQUIV_STEPS - 1)
+
+    def test_passes_with_helper_partials(self):
+        results = check_strategy_equivalence()
+        assert [r.name for r in results] == self.NAMES
+        assert all(r.passed for r in results), results
+        assert all("0 helper partials" not in r.detail for r in results)
+
+    def test_fails_when_no_helper_is_forked(self, monkeypatch):
+        # the parallel strategy is then the serial solver compared with itself
+        monkeypatch.setattr(reduction, "_HELPER_FLOOR", float("inf"))
+        results = check_strategy_equivalence()
+        assert [r.name for r in results] == self.NAMES
+        assert not any(r.passed for r in results)
+        assert all("sup rel dev 0.000e+00, 0 helper partials" == r.detail for r in results)
 
 
 class TestMutationDetection:

@@ -13,7 +13,9 @@ tree goes first.  A round's time for a (tree, strategy) is its mean time per
 solve.  Per strategy the script prints both trees' medians and quartiles,
 the median of the per-round ratios NEW/OLD, the rounds NEW won, and the
 largest deviation of NEW's states from OLD's, scaled by the largest |state|
-(0 means bitwise equal).
+(0 means bitwise equal).  With ``--json PATH`` it also writes those
+figures to PATH under the workload's name, keeping the other workloads
+already in the file, so one file can collect all three.
 
 The workloads are those of ``perfbench`` (two workers, chunk 1024):
 hr-long (Hindmarsh-Rose, alpha 0.9, N=2e4), short-many (eight power-law
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import resource
 import statistics
 import subprocess
@@ -125,6 +128,18 @@ def main_rss(args) -> None:
           f"new lower {lower}/{args.rounds}")
 
 
+def quartiles(times: list) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median": statistics.median(times), "q1": q1, "q3": q3}
+
+
+def write_json(path: Path, workload: str, record: dict) -> None:
+    """Store ``record`` under ``workload`` in the JSON object at ``path``."""
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[workload] = record
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path, help="source tree A (holds src/fodeabm)")
@@ -136,6 +151,8 @@ def main() -> None:
                     default=["serial", "block", "reduction"])
     ap.add_argument("--rss", action="store_true",
                     help="compare peak RSS, each tree in a fresh process per round")
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="also write the per-strategy figures to PATH under the workload")
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2 for quartiles")
@@ -159,14 +176,25 @@ def main() -> None:
 
     print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}: seconds per solve, "
           "median [q1, q3]")
+    summary = {}
     for s in args.strategy:
         old, new = times[0, s], times[1, s]
-        q = [statistics.quantiles(t, n=4) for t in (old, new)]
-        ratio = statistics.median(b / a for a, b in zip(old, new))
-        wins = sum(b < a for a, b in zip(old, new))
-        print(f"{s:9s} old {statistics.median(old):.4g} [{q[0][0]:.4g}, {q[0][2]:.4g}]  "
-              f"new {statistics.median(new):.4g} [{q[1][0]:.4g}, {q[1][2]:.4g}]  "
-              f"new/old {ratio:.3f}, new won {wins}/{len(old)}, max deviation {deviation[s]:.3g}")
+        summary[s] = {
+            "old": quartiles(old),
+            "new": quartiles(new),
+            "new_over_old": statistics.median(b / a for a, b in zip(old, new)),
+            "new_won": sum(b < a for a, b in zip(old, new)),
+            "max_deviation": deviation[s],
+        }
+        o, n, r = summary[s]["old"], summary[s]["new"], summary[s]
+        print(f"{s:9s} old {o['median']:.4g} [{o['q1']:.4g}, {o['q3']:.4g}]  "
+              f"new {n['median']:.4g} [{n['q1']:.4g}, {n['q3']:.4g}]  "
+              f"new/old {r['new_over_old']:.3f}, new won {r['new_won']}/{len(old)}, "
+              f"max deviation {r['max_deviation']:.3g}")
+    if args.json:
+        record = {"old": args.old.resolve().name, "new": args.new.resolve().name,
+                  "rounds": args.rounds, "seed": args.seed, "seconds_per_solve": summary}
+        write_json(args.json, args.workload, record)
 
 
 if __name__ == "__main__":
