@@ -3,11 +3,10 @@
 The history sums are many small-to-medium matrix products; letting the BLAS
 spawn its own threads makes timings erratic, breaks run-to-run bitwise
 reproducibility guarantees across machines with different pool sizes, and is
-unsafe to combine with fork-based workers.  Every solve therefore runs under
-a limits=1 context; parallelism in this package comes only from its own
-worker processes.  threadpoolctl is declared but may be absent; a loaded
-OpenBLAS, found in the process's memory map on first use, is then pinned
-through its own calls, and any other BLAS keeps its thread count.
+unsafe to combine with fork-based workers.  Every solve therefore runs with
+one BLAS thread, pinned by what the process has loaded: every OpenBLAS in its
+memory map through its own thread count, else threadpoolctl (MKL, BLIS,
+Accelerate) if it imports, else nothing.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ import functools
 
 
 @functools.cache
-def openblas():
-    """(path, thread count) of the loaded OpenBLAS, or None.
+def openblas() -> tuple:
+    """(path, thread count) of each OpenBLAS mapped at the first call, in path order.
 
-    The count is its ``blas_cpu_number``, which every BLAS call reads.  It
-    is written directly: openblas_set_num_threads restarts the thread pool
-    after a fork, and the new threads spin for a while on the CPUs that
-    the solve and its helpers need.
+    The count is ``blas_cpu_number``, read by every BLAS call.  It is written
+    directly: openblas_set_num_threads restarts the thread pool after a fork,
+    and the new threads spin for a while on the CPUs the solve needs.
     """
     import ctypes
 
@@ -31,34 +29,36 @@ def openblas():
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line.lower()})
     except OSError:
-        return None
+        return ()
+    found = []
     for path in paths:
         try:
-            return path, ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+            found.append((path, ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")))
         except (OSError, ValueError):  # e.g. "(deleted)" since it was loaded
-            continue
-    return None
+            pass
+    return tuple(found)
 
 
-try:
-    from threadpoolctl import ThreadpoolController
+@functools.cache
+def threadpool_controller():
+    """threadpoolctl's controller, built on first use, or None if it does not import."""
+    try:
+        from threadpoolctl import ThreadpoolController
+    except ImportError:
+        return None
+    return ThreadpoolController()
 
-    _controller = ThreadpoolController()
 
-    def single_threaded_blas():
-        return _controller.limit(limits=1)
-
-except ImportError:
-
-    @contextlib.contextmanager
-    def single_threaded_blas():
-        blas = openblas()
-        if blas is None:
-            yield
-            return
-        threads = blas[1]
-        old, threads.value = threads.value, 1
+@contextlib.contextmanager
+def single_threaded_blas():
+    counts = [count for _, count in openblas()]
+    old = [count.value for count in counts]
+    controller = None if counts else threadpool_controller()
+    with controller.limit(limits=1, user_api="blas") if controller else contextlib.nullcontext():
+        for count in counts:
+            count.value = 1
         try:
             yield
         finally:
-            threads.value = old
+            for count, value in zip(counts, old):
+                count.value = value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .bench import (
@@ -54,8 +55,13 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
     """The command's settings: built-in default, then config file, then explicit flag.
 
     ``hr_param`` is one NAME=VALUE in a config file and a list from flags;
-    the flags replace the config's value rather than add to it.
+    the flags replace the config's value rather than add to it.  A config
+    key that no command has is refused; another command's key is ignored,
+    so one file can serve them all.
     """
+    unknown = sorted(set(config).difference(*_DEFAULTS.values()))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     settings = dict(_DEFAULTS[args.command])
     for key in settings:
         flag = getattr(args, key)
@@ -64,6 +70,18 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
         elif key in config:
             settings[key] = [config[key]] if key == "hr_param" else config[key]
     return settings
+
+
+def _check_outputs(settings: dict) -> None:
+    """Refuse, before any solve, an output path whose directory cannot take it."""
+    for key in ("output", "idle_output"):
+        path = settings.get(key)
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} {path!r}: not a file in a writable directory")
 
 
 def _required(settings: dict, key: str, note: str = ""):
@@ -150,16 +168,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, defaults: dict) -> None:
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--system", choices=SYSTEM_NAMES)
         p.add_argument("--alpha", type=float, help="fractional order in (0, 1]")
         p.add_argument("--tmax", type=float, help="time horizon T > 0")
         p.add_argument("--output", help="output CSV path")
         p.add_argument("--workers", type=str, help="worker count (bench: comma list)")
-        p.add_argument("--chunk", type=int, help="reduction chunk width (default 1024)")
-        p.add_argument("--beta", type=float, help="power-law exponent (default 2)")
-        p.add_argument("--lam", type=float, help="linear coefficient (default -1)")
+        p.add_argument("--chunk", type=int, help=f"reduction chunk width (default {defaults['chunk']})")
+        p.add_argument("--beta", type=float, help=f"power-law exponent (default {defaults['beta']:g})")
+        p.add_argument("--lam", type=float, help=f"linear coefficient (default {defaults['lam']:g})")
         p.add_argument("--value", type=str, help="constant rhs value, comma separated")
         p.add_argument("--y0", type=str, help="initial state, comma separated")
         p.add_argument(
@@ -170,15 +188,17 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_solve = sub.add_parser("solve", help="integrate one problem and write the trajectory")
-    common(p_solve)
+    common(p_solve, _DEFAULTS["solve"])
     p_solve.add_argument("--steps", type=int, help="number of time steps N")
     p_solve.add_argument("--strategy", choices=STRATEGIES)
 
     p_bench = sub.add_parser("bench", help="timing sweep over strategies, N and workers")
-    common(p_bench)
+    common(p_bench, _DEFAULTS["bench"])
     p_bench.add_argument("--steps", type=str, help="comma list of N values")
     p_bench.add_argument("--strategy", type=str, help="comma list of strategies")
-    p_bench.add_argument("--reps", type=int, help="timed repetitions per cell (default 3)")
+    p_bench.add_argument(
+        "--reps", type=int, help=f"timed repetitions per cell (default {_DEFAULTS['bench']['reps']})"
+    )
     p_bench.add_argument("--idle-output", help="per-worker idle-count CSV (block strategy)")
     p_bench.add_argument(
         "--project", type=int, metavar="N",
@@ -221,7 +241,7 @@ def _cmd_bench(settings: dict) -> int:
     _write(output, records_to_csv(records))
     print(f"wrote {len(records)} records to {output}")
     if idle_rows:
-        idle_path = settings["idle_output"] or (output.rsplit(".", 1)[0] + "_idle.csv")
+        idle_path = settings["idle_output"] or (os.path.splitext(output)[0] + "_idle.csv")
         _write(idle_path, idle_to_csv(idle_rows))
         print(f"wrote idle counts to {idle_path}")
     target = int(settings["project"])
@@ -261,7 +281,9 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     try:
-        return _COMMANDS[args.command](_settings(args, config))
+        settings = _settings(args, config)
+        _check_outputs(settings)
+        return _COMMANDS[args.command](settings)
     except SolverStepError as exc:
         print(f"numerical failure at step {exc.step}: {exc}", file=sys.stderr)
         return 1

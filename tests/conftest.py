@@ -119,14 +119,24 @@ def speedup_thresholds(workers: int, n_steps: int = SPEEDUP_DOC_STEPS) -> dict[s
     return gates
 
 
+def blas_pin() -> str:
+    """The pin ``single_threaded_blas()`` uses in this process, and the BLAS it acts on."""
+    blas = _threads.openblas()
+    if blas:
+        with _threads.single_threaded_blas():
+            threads = "/".join(str(count.value) for _, count in blas)
+        paths = ", ".join(os.path.basename(path) for path, _ in blas)
+        return f"direct write on {len(blas)} OpenBLAS ({paths}), {threads} thread(s) inside"
+    if _threads.threadpool_controller() is not None:
+        return "threadpoolctl (no OpenBLAS in the process map)"
+    return "none (no OpenBLAS in the process map, no threadpoolctl)"
+
+
 def host_line() -> str:
-    """The BLAS, its thread count in solves, the L2 size and the panel widths.
+    """The BLAS pin, the L2 size and the panel widths.
 
     Timing tests print it, so a timing failure can be read without a rerun.
     """
-    blas = _threads.openblas()
-    with _threads.single_threaded_blas():
-        threads = blas[1].value if blas else "unknown"
     widths = {
         f"criterion 5 (d=3, N={SPEEDUP_DOC_STEPS})": serial._panel_width(3, SPEEDUP_DOC_STEPS),
         f"criterion 6 (d={CRITERION_6_DIM}, N={CRITERION_6_STEPS[-1]})": serial._panel_width(
@@ -134,8 +144,7 @@ def host_line() -> str:
         ),
     }
     return (
-        f"BLAS {blas[0] if blas else 'unknown (no OpenBLAS in the process map)'}, "
-        f"{threads} thread(s) inside single_threaded_blas(); L2 {serial._l2_bytes()} bytes; "
+        f"BLAS pin: {blas_pin()}; L2 {serial._l2_bytes()} bytes; "
         "panel width K " + ", ".join(f"{shape} {k}" for shape, k in widths.items())
     )
 

@@ -1,10 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from fodeabm import bench, checks, cli
 from fodeabm.cli import main
 
 
@@ -205,6 +207,25 @@ class TestConfigFile:
         assert text["config+flag"] == text["flag r"] != text["none"]
         assert text["flag r"] != text["flag i_ext"]
 
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        # a mistyped key is refused, not dropped with its value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nchunk_size = 8\nwrokers = 3\n")
+        out = tmp_path / "t.csv"
+        rc = run_cli(["solve", "--config", str(cfg), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'chunk_size'" in err and "'wrokers'" in err
+        assert not out.exists()
+
+    def test_other_commands_keys_are_accepted(self, tmp_path):
+        # one file serves solve and bench: solve ignores bench's keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nreps = 1\nproject = 4000\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
+        assert out.exists()
+
     def test_config_project_is_printed(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("project = 4000\n")
@@ -244,6 +265,59 @@ class TestBench:
         idle = tmp_path / "bench_idle.csv"
         assert idle.exists()
         assert "projected serial time" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "output, idle", [("./bench", "bench_idle.csv"), ("results.d/bench", "results.d/bench_idle.csv")]
+    )
+    def test_idle_csv_beside_output_without_extension(self, tmp_path, monkeypatch, output, idle):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results.d").mkdir()
+        args = ["bench", "--system", "linear", "--alpha", "0.5", "--tmax", "1.0", "--steps", "200",
+                "--strategy", "block", "--reps", "1", "--output", output]
+        assert run_cli(args) == 0
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted([os.path.normpath(output), idle])
+
+
+def test_help_renders_defaults_from_table(monkeypatch, capsys):
+    for key, value in (("chunk", 77), ("beta", 2.5), ("lam", -0.25), ("reps", 9)):
+        monkeypatch.setitem(cli._DEFAULTS["bench"], key, value)
+    with pytest.raises(SystemExit):
+        run_cli(["bench", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for help_text in ("chunk width (default 77)", "exponent (default 2.5)", "coefficient (default -0.25)",
+                      "per cell (default 9)"):
+        assert help_text in text
+
+
+_LINEAR = ["--system", "linear", "--alpha", "0.5", "--tmax", "1", "--steps", "8"]
+
+
+@pytest.mark.parametrize(
+    "args, flag, target",
+    [
+        (["solve", *_LINEAR], "--output", "missing/out.csv"),
+        (["solve", *_LINEAR], "--output", "."),
+        (["bench", *_LINEAR], "--output", "missing/out.csv"),
+        (["bench", *_LINEAR, "--output", "bench.csv"], "--idle-output", "missing/out.csv"),
+        (["verify"], "--output", "missing/out.csv"),
+    ],
+    ids=["solve-output", "solve-output-directory", "bench-output", "bench-idle-output", "verify-output"],
+)
+def test_unwritable_output_refused_before_solving(tmp_path, capsys, monkeypatch, args, flag, target):
+    # an output whose directory is missing, or that is a directory, is
+    # refused before any solve, not after it
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for module, name in ((bench, "solve_strategy"), (cli, "solve_strategy"),
+                         (checks, "run_verification_suite"), (cli, "run_verification_suite")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    assert run_cli(args + [flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag} {target!r}")
+    assert calls == []
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
 @pytest.mark.parametrize(

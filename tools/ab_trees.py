@@ -27,6 +27,9 @@ process, alternating which goes first, and the child solves the workload's
 inputs with every strategy ``RSS_REPEATS`` times.  Per tree it prints the
 median and quartiles of the peak RSS (``ru_maxrss`` of the child or of any
 helper it reaped, as ``perfbench`` reads it) and the rounds NEW was lower.
+It also prints the median of each child's process CPU time over the wall
+time of its solves: a BLAS thread pool that one solve restarts burns CPU
+in the next, and only fresh processes can charge that to one tree.
 """
 
 from __future__ import annotations
@@ -92,33 +95,39 @@ def run(lib, name: str, cases: list) -> tuple[float, list]:
 RSS_REPEATS = 4  # solves of the inputs per strategy in an --rss child
 
 
-def peak_rss(tree: str | Path, workload: str, seed: int, names: list) -> float:
-    """Peak RSS in MiB of this process and its reaped helpers after the solves."""
+def peak_rss(tree: str | Path, workload: str, seed: int, names: list) -> tuple[float, float]:
+    """Peak RSS in MiB of this process and its reaped helpers after the solves,
+    and this process's CPU time over the wall time of the solves."""
     lib = load(Path(tree), "fodeabm_tree")
     cases = inputs(lib, workload, seed)
+    cpu, start = time.process_time(), time.perf_counter()
     for _ in range(RSS_REPEATS):
         for s in names:
             run(lib, s, cases)
+    cpu_over_wall = (time.process_time() - cpu) / (time.perf_counter() - start)
     who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0  # ru_maxrss is in KiB
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0, cpu_over_wall  # ru_maxrss is in KiB
 
 
-def child_rss(tree: Path, args) -> float:
+def child_rss(tree: Path, args) -> tuple[float, float]:
     """``peak_rss`` of ``tree`` measured in a fresh interpreter."""
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import ab_trees; "
-        f"print(ab_trees.peak_rss({str(tree)!r}, {args.workload!r}, {args.seed}, {args.strategy!r}))"
+        f"print(*ab_trees.peak_rss({str(tree)!r}, {args.workload!r}, {args.seed}, {args.strategy!r}))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return float(out.stdout.split()[-1])
+    rss, cpu_over_wall = out.stdout.split()[-2:]
+    return float(rss), float(cpu_over_wall)
 
 
 def main_rss(args) -> None:
     trees = [args.old.resolve(), args.new.resolve()]
-    rss = ([], [])
+    rss, cpu = ([], []), ([], [])
     for r in range(args.rounds):
         for side in (r % 2, 1 - r % 2):
-            rss[side].append(child_rss(trees[side], args))
+            peak, ratio = child_rss(trees[side], args)
+            rss[side].append(peak)
+            cpu[side].append(ratio)
     print(f"{args.workload}, {args.rounds} rounds, seed {args.seed}, "
           f"{RSS_REPEATS} x {'/'.join(args.strategy)}: peak RSS MiB, median [q1, q3]")
     q = [statistics.quantiles(t, n=4) for t in rss]
@@ -126,6 +135,8 @@ def main_rss(args) -> None:
     print(f"old {statistics.median(rss[0]):.2f} [{q[0][0]:.2f}, {q[0][2]:.2f}]  "
           f"new {statistics.median(rss[1]):.2f} [{q[1][0]:.2f}, {q[1][2]:.2f}]  "
           f"new lower {lower}/{args.rounds}")
+    print(f"process CPU / wall of the solves, median: old {statistics.median(cpu[0]):.2f}  "
+          f"new {statistics.median(cpu[1]):.2f}")
 
 
 def quartiles(times: list) -> dict:
