@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         try:
             config = load_config_file(args.config)
         except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
+            print(f"configuration error: {exc}", file=sys.stderr)
             return 2
     try:
         settings = _settings(args, config)

@@ -177,6 +177,10 @@ class FractionalProblem:
     alpha is restricted to (0, 1], so the single initial value y0 is the only
     initial datum needed.  ``rhs(t, y)`` must return ``dim`` finite values
     (a scalar counts as one); every evaluation is checked, f(0, y0) included.
+    Finiteness is checked once per block of ``serial.BLOCK`` steps, so after
+    a non-finite result the rhs may be called with non-finite states for up
+    to ``BLOCK - 1`` more steps before the solve fails at that result's
+    step.  The rhs is never called twice for one evaluation.
     """
 
     alpha: float

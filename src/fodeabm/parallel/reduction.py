@@ -204,7 +204,7 @@ def _solve_forked(problem, grid, P: int, chunk: int, table, watchdog_s: float) -
             pass
 
     procs = []
-    n = w = 0
+    w = 0  # the helper awaited last, for the error report
     try:
         with single_threaded_blas():
             procs = _shm.fork_processes(helper, range(1, P))
@@ -212,19 +212,26 @@ def _solve_forked(problem, grid, P: int, chunk: int, table, watchdog_s: float) -
             # possibly while another is still awaited, so only the awaited
             # helper's exit counts
             exited = [None] + [lambda p=p: p.exitcode is not None for p in procs]
-            advance, history, S = step.advance, step.history, step.S
+            history, S = step.history, step.S
+
+            def sums(n: int) -> None:
+                # publishes step n - 1 as soon as it is done, then adds the
+                # helpers' partials in ascending span order to the own span's
+                nonlocal w
+                done[0] = n - 1
+                history(n, lo, n + 1, S)
+                for w in active:
+                    if sent[w] <= n:
+                        _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
+                    np.add(S, rings[w, n % RING], out=S)
+
             for n0, n1, spans in table:
                 lo = spans[0][0] * chunk
-                active = [w for w in range(1, P) if spans[w][1] > spans[w][0]]
-                for n in range(n0, n1):
-                    history(n, lo, n + 1, S)
-                    for w in active:
-                        if sent[w] <= n:
-                            _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
-                        S += rings[w, n % RING]
-                    advance(n)
-                    done[0] = n
+                active = [v for v in range(1, P) if spans[v][1] > spans[v][0]]
+                step.run(n0, n1, sums)
     except _shm.Stopped:
+        # the failing step is the one whose sums were awaited
+        n = int(done[0]) + 1
         raise SolverStepError(
             f"worker failed: helper {w} exited with code {procs[w - 1].exitcode}",
             step=n,

@@ -19,6 +19,10 @@ S_p]: the sums are written into its last two columns, and y_{n+1} is one
 more product, G[:, 0:3] @ (h^alpha (c_n - a_n), h^alpha / Gamma(alpha+2), 1).
 ``f_cache`` keeps f at accepted states only; the predictor evaluation fP is
 transient.
+
+Steps run in blocks of ``BLOCK``.  Within a block each rhs result is only
+counted and stored; one scan after the block finds the first step whose
+row of the states or column of the history is not finite.
 """
 
 from __future__ import annotations
@@ -69,6 +73,25 @@ class Trajectory:
 
 PANEL = 16  # steps per panel once the history outgrows L2
 
+# Steps between finiteness scans.  A failing solve runs at most BLOCK - 1
+# steps past its failure; 64 is the smallest block within the noise of the
+# best on short-many and hr-long serial (README, Checked blocks).
+BLOCK = 64
+
+NON_FINITE = "rhs returned a non-finite value"
+
+
+def _rhs_failed(exc: Exception, n: int, t: float) -> SolverStepError:
+    return SolverStepError(f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=n, t=t)
+
+
+def _miscounted(count: int, d: int, n: int, t: float) -> SolverStepError:
+    return SolverStepError(f"rhs returned {count} values, expected {d}", step=n, t=t)
+
+
+def _sums_given(n: int) -> None:
+    """``advance``'s sums: the caller has written them into ``S``."""
+
 
 @functools.cache
 def _l2_bytes() -> int:
@@ -93,10 +116,11 @@ class PeceStep:
     parallel engines give a view of their shared memory.  Construction
     stores y_0 and f_0, so a failing f(0, y0) is :class:`SolverStepError` at
     step 0, checked like every later evaluation.  The step owns the
-    column-major (d, 4) buffer ``G`` = [f_0, fP, S_c, S_p].  Step n writes
-    its history sums into ``S``, the view ``G[:, 2:4]``, with
-    ``history(n, 0, n + 1, S)`` or as the sum of ``history`` over ranges
-    that partition 0..n, and then calls ``advance(n)``.
+    column-major (d, 4) buffer ``G`` = [f_0, fP, S_c, S_p].  ``run(n0, n1)``
+    runs steps [n0, n1); step n's history sums in ``S``, the view
+    ``G[:, 2:4]``, are ``history(n, 0, n + 1, S)``, or whatever the caller's
+    ``sums(n)`` writes there, such as the sum of ``history`` over ranges
+    that partition 0..n.
     """
 
     def __init__(
@@ -134,8 +158,10 @@ class PeceStep:
         self.CW = ha * (table.c - table.a)
         # G = [f_0, fP, S_c, S_p] column by column, so every column is a
         # contiguous vector and y_{n+1} = G[:, 0:3] @ (CW[n], fP weight, 1);
-        # summed in this order, y_{n+1} rounds as (f_0, fP terms) + S_c
-        G = self.G = np.empty((d, 4), order="F")
+        # summed in this order, y_{n+1} rounds as (f_0, fP terms) + S_c.
+        # Zero-filled, so a failure before the first prediction finds a
+        # finite fP
+        G = self.G = np.zeros((d, 4), order="F")
         self.S = G[:, 2:4]
         self.yP = G[:, 3]
         self.fP = G[:, 1]
@@ -150,8 +176,22 @@ class PeceStep:
         self.Y = np.empty((N + 1, d))
         self.fT = np.empty((d, N + 1)) if fT is None else fT
         self.Y[0] = problem.y0
-        self._evaluate(0, 0.0, problem.y0, self.fT[:, 0])
-        G[:, 0] = self.fT[:, 0]
+        f0 = self.fT[:, 0]
+        try:
+            value = self.rhs(0.0, problem.y0)
+            try:
+                count = len(value)
+            except TypeError:
+                count = 1  # a scalar
+            if count == d:
+                f0[:] = value
+        except Exception as exc:
+            raise _rhs_failed(exc, 0, 0.0) from exc
+        if count != d:
+            raise _miscounted(count, d, 0, 0.0)
+        if not np.isfinite(f0).all():
+            raise SolverStepError(NON_FINITE, step=0, t=0.0)
+        G[:, 0] = f0
 
     def history(self, n: int, lo: int, hi: int, out: np.ndarray) -> None:
         """Step n's corrector and predictor sums over k in [lo, hi), times h^alpha.
@@ -175,53 +215,101 @@ class PeceStep:
         np.matmul(self.fT[:, mid:hi], self.WT[o + mid : o + hi], out=out)
         out += self._far[1][2 * j : 2 * j + 2].T
 
-    def _evaluate(self, n: int, t: float, y: np.ndarray, out: np.ndarray) -> None:
-        """f(t, y) into ``out``, checked for failure, length and finiteness."""
-        try:
-            value = self.rhs(t, y)
+    def run(self, n0: int, n1: int, sums=None) -> None:
+        """Run steps [n0, n1) in blocks that end at multiples of ``BLOCK``.
+
+        Step n writes its sums into ``S`` with ``sums(n)``, by default
+        ``history(n, 0, n + 1, S)``, and adds y_0 to both, so the last
+        column of ``G`` becomes the predicted state, evaluated into ``fP``.
+        It forms y_{n+1} in row n+1 of ``Y`` as one product of
+        ``G[:, 0:3]`` and evaluates f_{n+1} straight into column n+1 of
+        ``fT``.  Each rhs result is counted, a scalar as one value, before
+        it is stored; finiteness is scanned once per block.
+
+        Raises :class:`SolverStepError` for step n if an rhs evaluation
+        raises (with the cause chained) or returns other than ``dim``
+        values, and with the non-finite reason for the first step of the
+        block whose results are not all finite.  A step's non-finite predictor result
+        shows in its row of ``Y``, where it has the positive weight
+        h^alpha / Gamma(alpha+2).  The non-finite reason wins over any
+        exception raised later in the block, ``sums``' own included; those
+        leave ``run`` unchanged.  The steps after a non-finite result, up
+        to the end of its block, call the rhs with non-finite states.
+        """
+        # everything a step touches is a local of this one frame; the two
+        # evaluations are written out, as a call each cost 8% of a short solve
+        rhs, d, h, CW = self.rhs, self.dim, self.h, self.CW
+        Y, fT, S, y0c = self.Y, self.fT, self.S, self.y0_columns
+        yP, fP, tail, w = self.yP, self.fP, self._tail, self._tail_weights
+        history = self.history
+        b0 = n0
+        while b0 < n1:
+            b1 = min(n1, b0 - b0 % BLOCK + BLOCK)
             try:
-                count = len(value)
-            except TypeError:
-                count = 1  # a scalar
-            # counted first: the store would broadcast a single value to all
-            # d entries and blame any other wrong length on the call
-            if count == self.dim:
-                out[:] = value
-        except Exception as exc:
-            raise SolverStepError(
-                f"rhs evaluation failed: {type(exc).__name__}: {exc}", step=n, t=t
-            ) from exc
-        if count != self.dim:
-            raise SolverStepError(
-                f"rhs returned {count} values, expected {self.dim}", step=n, t=t
-            )
-        # a finite dot product with itself proves out finite; any other is
-        # decided exactly, since a finite square may overflow
-        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
-            raise SolverStepError("rhs returned a non-finite value", step=n, t=t)
+                for n in range(b0, b1):
+                    if sums is None:
+                        history(n, 0, n + 1, S)
+                    else:
+                        sums(n)
+                    S += y0c
+                    t1 = (n + 1) * h
+                    try:
+                        value = rhs(t1, yP)
+                        try:
+                            count = len(value)
+                        except TypeError:
+                            count = 1  # a scalar
+                        # counted first: the store would broadcast a single
+                        # value to all d entries and blame any other wrong
+                        # length on the call
+                        if count == d:
+                            fP[:] = value
+                    except Exception as exc:
+                        raise _rhs_failed(exc, n, t1) from exc
+                    if count != d:
+                        raise _miscounted(count, d, n, t1)
+                    w[0] = CW[n]
+                    y1 = Y[n + 1]
+                    tail.dot(w, y1)
+                    try:
+                        value = rhs(t1, y1)
+                        try:
+                            count = len(value)
+                        except TypeError:
+                            count = 1
+                        if count == d:
+                            fT[:, n + 1] = value
+                    except Exception as exc:
+                        raise _rhs_failed(exc, n, t1) from exc
+                    if count != d:
+                        raise _miscounted(count, d, n, t1)
+            except Exception:
+                # the steps before n stored all their results, and fP holds
+                # step n's prediction if it was stored, else a checked one
+                self._scan(b0, n)
+                if not np.isfinite(fP).all():
+                    raise SolverStepError(NON_FINITE, step=n, t=(n + 1) * h) from None
+                raise
+            self._scan(b0, b1)
+            b0 = b1
+
+    def _scan(self, n0: int, n1: int) -> None:
+        """Raise the non-finite error of the first step in [n0, n1) whose
+        row of ``Y`` or column of ``fT`` is not all finite."""
+        rows, cols = self.Y[n0 + 1 : n1 + 1], self.fT[:, n0 + 1 : n1 + 1]
+        if np.isfinite(rows).all() and np.isfinite(cols).all():
+            return
+        n = n0 + int((np.isfinite(rows).all(1) & np.isfinite(cols).all(0)).argmin())
+        raise SolverStepError(NON_FINITE, step=n, t=(n + 1) * self.h) from None
 
     def advance(self, n: int) -> np.ndarray:
-        """Predict, evaluate, correct and evaluate step n from its sums in ``S``.
+        """Run step n from the sums its caller wrote into ``S``; return the
+        predicted state, a view of ``G``.
 
-        Adds y_0 to both sums, so the last column of ``G`` becomes the
-        predicted state, evaluated into ``fP``.  Forms y_{n+1} in row n+1 of
-        ``Y`` as one product of ``G[:, 0:3]`` and evaluates f_{n+1} straight
-        into column n+1 of ``fT``; returns the predicted state, a view of
-        ``G``.  Raises :class:`SolverStepError` for step n, with the cause
-        chained, if an rhs evaluation raises, returns other than ``dim``
-        values, or is non-finite; column n+1 of ``fT`` may then hold the
-        failing values.
+        This is :meth:`run` over the one step, with its checks.
         """
-        t1 = (n + 1) * self.h
-        self.S += self.y0_columns
-        yP = self.yP
-        self._evaluate(n, t1, yP, self.fP)
-        w = self._tail_weights
-        w[0] = self.CW[n]
-        y1 = self.Y[n + 1]
-        self._tail.dot(w, y1)
-        self._evaluate(n, t1, y1, self.fT[:, n + 1])
-        return yP
+        self.run(n, n + 1, _sums_given)
+        return self.yP
 
     def trajectory(self) -> Trajectory:
         """The states ``Y`` and the history ``fT`` as a :class:`Trajectory`, uncopied.
@@ -236,13 +324,11 @@ def solve_serial(problem: FractionalProblem, grid: GridSpec) -> Trajectory:
     """Integrate the problem over the full grid, one corrector pass per step.
 
     Deterministic: identical inputs give bitwise-identical trajectories.
-    Raises :class:`SolverStepError` (with the failing step index and time) as
-    soon as any rhs evaluation fails or produces a non-finite value.
+    Raises :class:`SolverStepError` (with the failing step index and time)
+    when any rhs evaluation fails or produces a non-finite value, at the
+    latest at the end of that step's block.
     """
     step = PeceStep(problem, grid)
-    advance, history, S = step.advance, step.history, step.S
     with single_threaded_blas():
-        for n in range(grid.n_steps):
-            history(n, 0, n + 1, S)
-            advance(n)
+        step.run(0, grid.n_steps)
     return step.trajectory()

@@ -173,6 +173,11 @@ class TestConfigFile:
         cfg.write_text("not a key value line\n")
         rc = run_cli(["solve", "--config", str(cfg)])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        # a file that cannot be read is reported the same way
+        rc = run_cli(["solve", "--config", str(tmp_path / "missing.cfg")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize("line", ["alpha = abc", "steps = 1.5", "hr_param = r"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):

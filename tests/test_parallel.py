@@ -24,7 +24,7 @@ from fodeabm import (
 )
 
 from fodeabm.parallel import _shm, reduction
-from fodeabm.serial import PeceStep
+from fodeabm.serial import BLOCK, PeceStep
 from fodeabm.systems import rhs_constant
 
 from conftest import (
@@ -593,6 +593,101 @@ def test_rhs_failing_mid_panel_is_step_error(solve, force_panel):
     assert isinstance(err.value.__cause__, TypeError)
 
 
+NAN = float("nan")
+
+
+@every_strategy
+@pytest.mark.parametrize(
+    "step", [0, BLOCK, 2 * BLOCK - 1, 2 * BLOCK], ids=["step0", "first", "last", "next"]
+)
+@pytest.mark.parametrize("evaluation", [0, 1], ids=["predictor", "corrector"])
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        (_raise, "rhs evaluation failed: ValueError: rhs gave up"),
+        (lambda y: (NAN, 0.0), "rhs returned a non-finite value"),
+    ],
+    ids=["raises", "nan"],
+)
+def test_failure_at_block_edges_is_step_error(solve, step, evaluation, value, reason):
+    # steps run in blocks of BLOCK, scanned at their ends: a failure is
+    # reported at its own step wherever it falls in a block
+    grid = GridSpec.from_horizon(1.0, 3 * BLOCK)
+    rhs = rhs_changed_at(step, grid.h, evaluation, value)
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err, np.errstate(invalid="ignore"):
+        solve(problem, grid)
+    assert (err.value.step, err.value.t, err.value.reason) == (step, (step + 1) * grid.h, reason)
+
+
+@every_strategy
+def test_non_finite_prediction_shows_in_the_state(solve):
+    # the corrector's value ignores y, so the history stays finite and only
+    # the state y_{11}, which weights the prediction positively, shows it
+    grid = GridSpec.from_horizon(1.0, 20)
+    calls = []
+
+    def rhs(t, y):
+        if t == 11 * grid.h:
+            calls.append(t)
+            if len(calls) == 1:
+                return (NAN, 0.0)
+        return (t, 1.0 - t)
+
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err, np.errstate(invalid="ignore"):
+        solve(problem, grid)
+    assert (err.value.step, err.value.reason) == (10, "rhs returned a non-finite value")
+    assert len(calls) == 2
+
+
+def _refuse_non_finite(y):
+    if not np.isfinite(y).all():
+        raise ValueError("non-finite state")
+    return -y
+
+
+@every_strategy
+@pytest.mark.parametrize("evaluation", [0, 1], ids=["predictor", "corrector"])
+@pytest.mark.parametrize(
+    "later",
+    [_refuse_non_finite, lambda y: (1.0, 2.0, 3.0)],
+    ids=["raises", "long"],
+)
+def test_earlier_non_finite_value_wins(solve, evaluation, later):
+    # one of step 10's results is NaN, and the next evaluation, which sees
+    # a NaN state, fails otherwise: the report is step 10's non-finite value
+    calls = []
+
+    def rhs(t, y):
+        # call 0 is f(0, y0), calls 2n+1 and 2n+2 are step n's
+        calls.append(t)
+        i = len(calls) - 1
+        if i == 21 + evaluation:
+            return (NAN, 0.0)
+        return later(y) if i > 21 + evaluation else -y
+
+    problem = FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0)
+    with pytest.raises(SolverStepError) as err, np.errstate(invalid="ignore"):
+        solve(problem, problem.grid(20))
+    assert (err.value.step, err.value.reason) == (10, "rhs returned a non-finite value")
+    assert err.value.__cause__ is None
+
+
+@every_strategy
+def test_successful_solve_calls_rhs_once_per_evaluation(solve):
+    # f(0, y0) and two evaluations a step: nothing is evaluated again
+    grid = GridSpec.from_horizon(1.0, 3 * BLOCK + 5)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    solve(FractionalProblem(alpha=0.6, dim=2, rhs=rhs, y0=[1.0, 2.0], t_end=1.0), grid)
+    assert len(calls) == 2 * grid.n_steps + 1
+
+
 @parallel_strategies
 def test_watchdog_breaks_hang(solve):
     # a helper that stops answering trips the coordinator's watchdog; at
@@ -666,6 +761,38 @@ def test_raising_helper_is_step_error(solve, monkeypatch):
     with pytest.raises(SolverStepError, match="worker failed: helper 1 exited with code 1") as err:
         solve(problem, grid, 2)
     assert err.value.step == first_helper_step
+    assert multiprocessing.active_children() == []
+
+
+@parallel_strategies
+def test_earlier_non_finite_value_wins_over_killed_helper(solve, monkeypatch):
+    # the helper kills itself before it sends step m's partials, so the
+    # coordinator finds it dead at step m; step m - 2's NaN, in the same
+    # block, is what the solve reports
+    problem = linear_problem(0.5, -1.0)
+    grid = problem.grid(300)
+    stats = {}
+    solve(problem, grid, 2, stats=stats)
+    m = int(stats["idle_steps"][1]) + 5
+    assert (m - 2) // BLOCK == m // BLOCK
+    coordinator = os.getpid()
+    history = PeceStep.history
+
+    def dying(self, n, lo, hi, out):
+        if os.getpid() != coordinator and n >= m:
+            os.kill(os.getpid(), signal.SIGKILL)
+        history(self, n, lo, hi, out)
+
+    monkeypatch.setattr(PeceStep, "history", dying)
+    with pytest.raises(SolverStepError, match="worker failed: helper 1 exited with code -9") as err:
+        solve(problem, grid, 2)
+    assert err.value.step == m
+    bad = FractionalProblem(
+        alpha=0.5, dim=1, rhs=rhs_changed_at(m - 2, grid.h, 1, lambda y: (NAN,)), y0=[1.0], t_end=1.0
+    )
+    with pytest.raises(SolverStepError) as err, np.errstate(invalid="ignore"):
+        solve(bad, grid, 2)
+    assert (err.value.step, err.value.reason) == (m - 2, "rhs returned a non-finite value")
     assert multiprocessing.active_children() == []
 
 

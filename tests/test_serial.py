@@ -336,53 +336,64 @@ class TestProblemValidation:
 
 
 def evaluating(d):
-    """A d-dimensional PeceStep whose rhs returns ``value[0]``, and ``value``."""
+    """A d-dimensional PeceStep whose rhs returns ``value[0]``, and ``value``.
+
+    Steps 0-2 have run on finite values, so step 3 is the next to run.
+    """
     value = [np.full(d, 0.5)]
     problem = FractionalProblem(
         alpha=0.5, dim=d, rhs=lambda t, y: value[0], y0=np.zeros(d), t_end=1.0
     )
-    return PeceStep(problem, problem.grid(8)), value
+    step = PeceStep(problem, problem.grid(8))
+    step.run(0, 3)
+    return step, value
 
 
 class TestAllFinite:
-    """The finiteness check of ``PeceStep._evaluate``, storing into a strided fT column."""
+    """The block scan of ``PeceStep.run``, over rows of Y and strided fT columns."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_in_every_position(self, bad):
         for d in (1, 3, 7):
-            step, value = evaluating(d)
-            column = step.fT[:, 4]
-            assert not column.flags.c_contiguous or d == 1
             for i in range(d):
+                step, value = evaluating(d)
+                assert not step.fT[:, 4].flags.c_contiguous or d == 1
                 vec = np.full(d, 0.5)
                 vec[i] = bad
                 value[0] = vec
-                with pytest.raises(SolverStepError) as err:
-                    step._evaluate(3, 0.4, step.Y[0], column)
+                with pytest.raises(SolverStepError) as err, np.errstate(invalid="ignore"):
+                    step.run(3, 8)
                 assert (err.value.step, err.value.reason) == (3, "rhs returned a non-finite value")
 
     def test_finite_vectors(self):
         step, value = evaluating(3)
         value[0] = np.linspace(-2.0, 2.0, 3 * 9).reshape(3, 9)[:, 4]
-        for out in (step.fT[:, 4], np.empty(3)):
-            step._evaluate(3, 0.4, step.Y[0], out)
-            assert out.tolist() == value[0].tolist()
+        step.run(3, 8)
+        for k in range(4, 9):
+            assert step.fT[:, k].tolist() == value[0].tolist()
 
     def test_overflowing_square_decided_exactly(self):
-        # 1e200 squared overflows the dot product; the exact check decides
+        # 1e200 squared overflows; no square is formed, so the value passes
         step, value = evaluating(3)
         value[0] = np.full(3, 1e200)
         with np.errstate(over="ignore"):
             assert math.isinf(value[0].dot(value[0]))
-            for out in (step.fT[:, 4], np.empty(3)):
-                step._evaluate(3, 0.4, step.Y[0], out)
-                assert out.tolist() == [1e200] * 3
+        step.run(3, 8)
+        assert step.fT[:, 8].tolist() == [1e200] * 3
 
     def test_overflowing_square_warns_once(self):
+        # the scan forms no dot product, so an accepted 1e200 warns nothing
         step, value = evaluating(3)
         value[0] = (1e200,) * 3
         with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
             warnings.simplefilter("always")
-            step._evaluate(3, 0.4, step.Y[0], step.fT[:, 4])
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "overflow" in str(caught[0].message)
+            step.run(3, 8)
+        assert caught == []
+
+    def test_state_overflowing_from_finite_results_is_step_error(self):
+        # every rhs result is finite, but y_18 = 1.8 * 1e308 overflows; the
+        # scan reads the states, so step 17 fails
+        problem = FractionalProblem(alpha=1.0, dim=1, rhs=lambda t, y: (1e308,), y0=[0.0], t_end=10.0)
+        with pytest.raises(SolverStepError) as err, np.errstate(all="ignore"):
+            solve_serial(problem, problem.grid(100))
+        assert (err.value.step, err.value.reason) == (17, "rhs returned a non-finite value")

@@ -1,6 +1,7 @@
 """Same-process A/B timing of two fodeabm source trees.
 
     python3 tools/ab_trees.py OLD_TREE NEW_TREE --workload short-many --rounds 20
+    python3 tools/ab_trees.py OLD_TREE NEW_TREE --workload short-many --bench 10
 
 Each tree's ``src/fodeabm`` is imported under its own package name, so both
 run in one interpreter and share its memory layout, its CPUs and the host's
@@ -30,6 +31,15 @@ helper it reaped, as ``perfbench`` reads it) and the rounds NEW was lower.
 It also prints the median of each child's process CPU time over the wall
 time of its solves: a BLAS thread pool that one solve restarts burns CPU
 in the next, and only fresh processes can charge that to one tree.
+
+With ``--bench PAIRS`` the script runs the benchmark itself, as a pipeline
+would: ``perfbench/run.py --trace 0`` of each tree in a fresh process, for
+the seeds SEED..SEED+PAIRS-1, alternating which tree goes first, for the
+``run_seconds`` of NEW's ``BENCHMARK.json``.  It reads each run's last
+line.  For each end-to-end metric of that file it prints both medians and
+quartiles and the pairs NEW won (ties count for neither), and a verdict: a
+gain, or a loss, needs the winner to take at least 9 of 10 pairs and the
+medians to differ by more than OLD's interquartile range.
 """
 
 from __future__ import annotations
@@ -139,6 +149,52 @@ def main_rss(args) -> None:
           f"new {statistics.median(cpu[1]):.2f}")
 
 
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metric values of one ``perfbench/run.py --trace 0`` run in ``tree``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    metrics = json.loads(out.stdout.splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
+
+
+def verdict(old: list, new: list, better: str) -> tuple[int, str]:
+    """The pairs NEW won, and "gain", "loss" or "no verdict" by the rule of ``--bench``."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, _, q3 = statistics.quantiles(old, n=4)
+    gap = sign * (statistics.median(old) - statistics.median(new))  # > 0: NEW is better
+    won = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+    lost = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    if won >= 0.9 * len(old) and gap > q3 - q1:
+        return won, "gain"
+    if lost >= 0.9 * len(old) and -gap > q3 - q1:
+        return won, "loss"
+    return won, "no verdict"
+
+
+def main_bench(args) -> dict:
+    trees = [args.old.resolve(), args.new.resolve()]
+    spec = json.loads((trees[1] / "BENCHMARK.json").read_text())
+    runs = ([], [])
+    for i in range(args.bench):
+        for side in (i % 2, 1 - i % 2):
+            runs[side].append(bench_run(trees[side], args.workload, args.seed + i, spec["run_seconds"]))
+    print(f"{args.workload}, {args.bench} fresh-process pairs, seeds {args.seed}.."
+          f"{args.seed + args.bench - 1}: median [q1, q3]")
+    summary = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        old, new = ([r[name] for r in side] for side in runs)
+        won, call = verdict(old, new, metric["better"])
+        summary[name] = {"old": quartiles(old), "new": quartiles(new), "new_won": won, "verdict": call}
+        o, n, r = summary[name]["old"], summary[name]["new"], summary[name]
+        print(f"{name:18s} old {o['median']:.4g} [{o['q1']:.4g}, {o['q3']:.4g}]  "
+              f"new {n['median']:.4g} [{n['q1']:.4g}, {n['q3']:.4g}]  "
+              f"new won {r['new_won']}/{args.bench}: {r['verdict']}")
+    return {"pairs": args.bench, "seeds": [args.seed, args.seed + args.bench - 1],
+            "run_seconds": spec["run_seconds"], "metrics": summary}
+
+
 def quartiles(times: list) -> dict:
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median": statistics.median(times), "q1": q1, "q3": q3}
@@ -162,11 +218,20 @@ def main() -> None:
                     default=["serial", "block", "reduction"])
     ap.add_argument("--rss", action="store_true",
                     help="compare peak RSS, each tree in a fresh process per round")
+    ap.add_argument("--bench", type=int, metavar="PAIRS",
+                    help="run perfbench/run.py in each tree for PAIRS fresh-process pairs")
     ap.add_argument("--json", type=Path, metavar="PATH",
-                    help="also write the per-strategy figures to PATH under the workload")
+                    help="also write the figures to PATH under the workload "
+                         "(with --bench, under 'WORKLOAD bench')")
     args = ap.parse_args()
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2 for quartiles")
+    if args.rounds < 2 or args.bench is not None and args.bench < 2:
+        ap.error("--rounds and --bench must be at least 2 for quartiles")
+    if args.bench:
+        record = main_bench(args)
+        if args.json:
+            record.update(old=args.old.resolve().name, new=args.new.resolve().name)
+            write_json(args.json, f"{args.workload} bench", record)
+        return
     if args.rss:
         main_rss(args)
         return
