@@ -14,7 +14,6 @@ from .core import (
     WeightTable,
     corrector_weight_a,
     corrector_weight_c,
-    gamma,
     precompute_weights,
     predictor_weight,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "HindmarshRoseParams",
     "SolverStepError",
     "StrategyTimeoutError",
-    "gamma",
     "predictor_weight",
     "corrector_weight_a",
     "corrector_weight_c",

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import sys
 
 
-@functools.cache
-def openblas() -> tuple:
-    """(path, thread count) of each OpenBLAS mapped at the first call, in path order.
+def mapped_openblas() -> tuple:
+    """(path, thread count) of each OpenBLAS in the process's memory map, in path order.
 
     The count is ``blas_cpu_number``, read by every BLAS call.  It is written
     directly: openblas_set_num_threads restarts the thread pool after a fork,
@@ -37,6 +37,23 @@ def openblas() -> tuple:
         except (OSError, ValueError):  # e.g. "(deleted)" since it was loaded
             pass
     return tuple(found)
+
+
+# (len(sys.modules) after the last read of the map, what it found)
+_last_read = (-1, ())
+
+
+def openblas() -> tuple:
+    """:func:`mapped_openblas`, read again only when a module was imported since.
+
+    A library is mapped by an import (scipy.linalg maps its own OpenBLAS),
+    so a process that imports nothing between solves reads the map once.
+    """
+    global _last_read
+    if _last_read[0] != len(sys.modules):
+        found = mapped_openblas()
+        _last_read = (len(sys.modules), found)
+    return _last_read[1]
 
 
 @functools.cache

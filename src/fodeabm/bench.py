@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
 from .parallel import solve_block_parallel, solve_reduction_parallel
-from .parallel.reduction import check_config
+from .parallel.reduction import CHUNK, check_config
 from .serial import solve_serial
 
 __all__ = [
@@ -75,11 +75,12 @@ def solve_strategy(
 
 def run_sweep(
     problem: FractionalProblem,
+    *,
+    n_list,
+    workers_list,
+    repetitions: int,
     strategies=STRATEGIES,
-    n_list=(10000, 20000),
-    workers_list=(2,),
-    chunk: int = 1024,
-    repetitions: int = 3,
+    chunk: int = CHUNK,
     log=None,
 ) -> tuple[list[BenchRecord], list[dict]]:
     """Full grid of cells; serial cells are always run (they are the baseline).

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import FractionalProblem
 from .parallel import solve_block_parallel, solve_reduction_parallel
+from .parallel.reduction import CHUNK
 from .serial import Trajectory, solve_serial
 from .systems import rhs_linear, rhs_power_law
 from .verify import ConvergenceReport, mittag_leffler
@@ -142,12 +143,12 @@ def _sup_rel_dev(a: Trajectory, b: Trajectory) -> float:
 
 
 # the smallest N at which every helper of block (P=2) and of reduction (P=2,
-# chunk 1024) has a share of a d=1 history above the helper floor
+# chunk CHUNK) has a share of a d=1 history above the helper floor
 EQUIV_STEPS = 14143
 
 
 def check_strategy_equivalence(
-    n_steps: int = EQUIV_STEPS, n_workers: int = 2, chunk: int = 1024
+    n_steps: int = EQUIV_STEPS, n_workers: int = 2, chunk: int = CHUNK
 ) -> list[CheckResult]:
     """Both parallel strategies against the serial oracle on the power-law problem.
 

@@ -24,6 +24,7 @@ from .bench import (
 )
 from .checks import run_verification_suite
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
+from .parallel.reduction import CHUNK
 from .systems import (
     HR_DEFAULT_Y0,
     SYSTEM_NAMES,
@@ -42,9 +43,9 @@ __all__ = ["main", "build_problem"]
 # text, typed flag) and is cast where it is read.
 _PROBLEM = dict(system=None, alpha=None, tmax=None, beta=2.0, lam=-1.0, value="0", y0=None, hr_param=())
 _DEFAULTS = {
-    "solve": dict(_PROBLEM, steps=None, strategy="serial", workers="2", chunk=1024, output="trajectory.csv"),
+    "solve": dict(_PROBLEM, steps=None, strategy="serial", workers="2", chunk=CHUNK, output="trajectory.csv"),
     "bench": dict(
-        _PROBLEM, steps="10000,20000", strategy=",".join(STRATEGIES), workers="2", chunk=1024,
+        _PROBLEM, steps="10000,20000", strategy=",".join(STRATEGIES), workers="2", chunk=CHUNK,
         reps=3, output="bench.csv", idle_output=None, project=1_000_000,
     ),
     "verify": dict(output="verify_report.csv"),

@@ -21,7 +21,6 @@ __all__ = [
     "WeightTable",
     "SolverStepError",
     "StrategyTimeoutError",
-    "gamma",
     "predictor_weight",
     "corrector_weight_a",
     "corrector_weight_c",
@@ -54,14 +53,6 @@ def _check_alpha(alpha: float) -> float:
     if not math.isfinite(alpha) or not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     return alpha
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real x (relative error well under 1e-13)."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma requires finite x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def _b(alpha: float, n: np.ndarray) -> np.ndarray:

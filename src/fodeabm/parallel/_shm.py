@@ -41,7 +41,9 @@ from ..core import StrategyTimeoutError
 _CACHE_LINE = 64
 _SPIN_MASK = 255  # spin iterations between slow-path checks
 
-DEFAULT_WATCHDOG_S = 60.0
+# Seconds the coordinator waits on a helper's partials before it raises
+# StrategyTimeoutError; read when a solve starts
+WATCHDOG_S = 60.0
 RING = 256  # partial-sum slots per sender; senders may lead the consumer by this many steps
 _X86_64 = ("x86_64", "AMD64")
 

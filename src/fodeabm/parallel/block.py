@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..core import FractionalProblem, GridSpec
 from ..serial import Trajectory
-from ._shm import DEFAULT_WATCHDOG_S
 from .partition import make_partition
 from .reduction import solve_reduction_parallel
 
@@ -31,7 +30,6 @@ def solve_block_parallel(
     grid: GridSpec,
     n_workers: int,
     *,
-    watchdog_s: float = DEFAULT_WATCHDOG_S,
     stats: dict | None = None,
 ) -> Trajectory:
     """Solve with P block workers; equivalent to :func:`solve_serial`.
@@ -40,12 +38,7 @@ def solve_block_parallel(
     solver.  ``stats``, when given, receives the reduction engine's
     per-worker instrumentation (``idle_steps`` is ``blocks[w].lo`` when the
     helpers are forked and N when they are not; worker 0 assembles every
-    step and sends nothing) and the ``plan``.
+    step and sends nothing).
     """
     plan = make_partition(grid.n_steps, n_workers)
-    traj = solve_reduction_parallel(
-        problem, grid, plan.n_workers, plan.block_size, watchdog_s=watchdog_s, stats=stats
-    )
-    if stats is not None:
-        stats["plan"] = plan
-    return traj
+    return solve_reduction_parallel(problem, grid, plan.n_workers, plan.block_size, stats=stats)

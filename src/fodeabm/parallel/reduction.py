@@ -25,9 +25,9 @@ in the calling process only, so an rhs fails here exactly as in the serial
 solver.  A helper that exits before it sends an awaited partial (an
 exception, a kill) is :class:`SolverStepError` at the step the coordinator
 could not complete, reported as soon as the coordinator waits on it; a
-helper that lives but stops answering trips the ``watchdog_s`` timeout
-(:class:`StrategyTimeoutError`).  However the solve ends, the coordinator
-then kills and reaps its helpers.
+helper that lives but stops answering trips the ``_shm.WATCHDOG_S``
+timeout (:class:`StrategyTimeoutError`).  However the solve ends, the
+coordinator then kills and reaps its helpers.
 
 A helper whose span of a step is empty skips it; those steps are its
 ``idle_steps``.  A helper is forked only when its share of the history pays
@@ -47,9 +47,13 @@ from .._threads import single_threaded_blas
 from ..core import FractionalProblem, GridSpec, SolverStepError
 from ..serial import PeceStep, Trajectory, solve_serial
 from . import _shm
-from ._shm import DEFAULT_WATCHDOG_S, RING
+from ._shm import RING
 
-__all__ = ["check_config", "solve_reduction_parallel"]
+__all__ = ["CHUNK", "check_config", "solve_reduction_parallel"]
+
+# The one default chunk width: the solver's, the CLI's, run_sweep's and the
+# verification suite's.  No sweep has compared it with other widths.
+CHUNK = 1024
 
 # The coordinator alone runs every step's assembly and both rhs calls, so an
 # even split of the history leaves the helpers waiting on it.  Ceding this
@@ -128,9 +132,8 @@ def solve_reduction_parallel(
     problem: FractionalProblem,
     grid: GridSpec,
     n_workers: int,
-    chunk: int = 1024,
+    chunk: int = CHUNK,
     *,
-    watchdog_s: float = DEFAULT_WATCHDOG_S,
     stats: dict | None = None,
 ) -> Trajectory:
     """Solve with chunked history reduction across ``n_workers`` processes.
@@ -141,7 +144,7 @@ def solve_reduction_parallel(
     share below the floor is bitwise identical to :func:`solve_serial`.
     ``stats``, when given, receives per-worker ``idle_steps`` (steps whose
     span was empty, or all N for a helper not forked) and
-    ``partial_sums_sent`` (two per helper message), and the ``chunk``.
+    ``partial_sums_sent`` (two per helper message).
     """
     N = grid.n_steps
     P = int(n_workers)
@@ -153,7 +156,7 @@ def solve_reduction_parallel(
         steps[1:] = 0
         traj = solve_serial(problem, grid)
     else:
-        traj = _solve_forked(problem, grid, P, chunk, table, watchdog_s)
+        traj = _solve_forked(problem, grid, P, chunk, table)
     if stats is not None:
         stats["idle_steps"] = N - steps
         # a helper sends one predictor and one corrector partial every step
@@ -161,14 +164,14 @@ def solve_reduction_parallel(
         sent_partials = 2 * steps
         sent_partials[0] = 0
         stats["partial_sums_sent"] = sent_partials
-        stats["chunk"] = chunk
     return traj
 
 
-def _solve_forked(problem, grid, P: int, chunk: int, table, watchdog_s: float) -> Trajectory:
+def _solve_forked(problem, grid, P: int, chunk: int, table) -> Trajectory:
     """The engine proper: fork P - 1 helpers and coordinate the steps of ``table``."""
     N = grid.n_steps
     d = problem.dim
+    timeout_s = _shm.WATCHDOG_S
 
     done = _shm.counters(1)             # last step whose f_{n+1} is published
     sent = _shm.counters(P)             # helper progress, one per worker
@@ -222,7 +225,7 @@ def _solve_forked(problem, grid, P: int, chunk: int, table, watchdog_s: float) -
                 history(n, lo, n + 1, S)
                 for w in active:
                     if sent[w] <= n:
-                        _shm.wait_for(sent, w, n + 1, exited[w], watchdog_s, "helper partials")
+                        _shm.wait_for(sent, w, n + 1, exited[w], timeout_s, "helper partials")
                     np.add(S, rings[w, n % RING], out=S)
 
             for n0, n1, spans in table:

@@ -1,6 +1,6 @@
 """The PECE step shared by every strategy, and the sequential solver built on it.
 
-One step advances y_n -> y_{n+1} in PECE form:
+One step takes y_n to y_{n+1} in PECE form:
 
     predict   yP = y0 + h^alpha * sum_{k=0..n} b_{n-k} f_k
     evaluate  fP = f(t_{n+1}, yP)
@@ -87,10 +87,6 @@ def _rhs_failed(exc: Exception, n: int, t: float) -> SolverStepError:
 
 def _miscounted(count: int, d: int, n: int, t: float) -> SolverStepError:
     return SolverStepError(f"rhs returned {count} values, expected {d}", step=n, t=t)
-
-
-def _sums_given(n: int) -> None:
-    """``advance``'s sums: the caller has written them into ``S``."""
 
 
 @functools.cache
@@ -302,20 +298,11 @@ class PeceStep:
         n = n0 + int((np.isfinite(rows).all(1) & np.isfinite(cols).all(0)).argmin())
         raise SolverStepError(NON_FINITE, step=n, t=(n + 1) * self.h) from None
 
-    def advance(self, n: int) -> np.ndarray:
-        """Run step n from the sums its caller wrote into ``S``; return the
-        predicted state, a view of ``G``.
-
-        This is :meth:`run` over the one step, with its checks.
-        """
-        self.run(n, n + 1, _sums_given)
-        return self.yP
-
     def trajectory(self) -> Trajectory:
         """The states ``Y`` and the history ``fT`` as a :class:`Trajectory`, uncopied.
 
         This ends the step: the trajectory makes ``Y`` and its view of
-        ``fT`` read-only, so no later step can be advanced.
+        ``fT`` read-only, so no later step can run.
         """
         return Trajectory(grid=self.grid, states=self.Y, f_cache=self.fT.T)
 

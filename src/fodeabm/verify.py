@@ -8,7 +8,6 @@ comes from a straight log-log fit of errors against the step size.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -130,22 +129,3 @@ class ConvergenceReport:
         rows.append(("observed_order", float(self.observed_order)))
         write_csv(out, ["alpha", "problem", "N", "sup_error"], rows)
         return out.getvalue()
-
-    @classmethod
-    def parse_csv(cls, text: str) -> "ConvergenceReport":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["alpha", "problem", "N", "sup_error"]:
-            raise ValueError("not a convergence report CSV")
-        data = [r for r in rows[1:] if r and r[0] != "observed_order"]
-        tail = [r for r in rows[1:] if r and r[0] == "observed_order"]
-        if not data or len(tail) != 1:
-            raise ValueError("malformed convergence report CSV")
-        alpha = float(data[0][0])
-        problem = data[0][1]
-        errors = tuple((int(r[2]), float(r[3])) for r in data)
-        return cls(
-            alpha=alpha,
-            problem=problem,
-            errors=errors,
-            observed_order=float(tail[0][1]),
-        )

@@ -202,6 +202,10 @@ def min_helper_share(n_steps: int, dim: int, workers: int, chunk: int) -> int:
     return int(reduction._helper_work(table, workers, chunk, dim)[1][1:].min())
 
 
+def sums_written(n: int) -> None:
+    """``PeceStep.run``'s hook for a caller that has written step n's sums into ``S``."""
+
+
 def sup_rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     """Sup-norm relative deviation with a tiny floor against zero entries."""
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)))

@@ -42,6 +42,7 @@ from conftest import (
     linear_problem,
     power_problem,
     speedup_thresholds,
+    sums_written,
     sup_rel_dev,
     usable_cpus,
 )
@@ -243,7 +244,7 @@ def contraction_seconds(problem, n_steps: int) -> float:
             start = time.perf_counter()
             step.history(n, 0, n + 1, step.S)
             spent += time.perf_counter() - start
-            step.advance(n)
+            step.run(n, n + 1, sums_written)
     return spent
 
 

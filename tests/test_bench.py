@@ -20,7 +20,7 @@ from conftest import linear_problem
 class TestSweep:
     def test_serial_cell_times(self):
         problem = linear_problem(0.5, -1.0)
-        records, idle_rows = run_sweep(problem, strategies=("serial",), n_list=(200,), repetitions=2)
+        records, idle_rows = run_sweep(problem, strategies=("serial",), n_list=(200,), workers_list=(2,), repetitions=2)
         (record,) = records
         assert record.wall_time_s > 0.0 and not record.error
         assert idle_rows == []
@@ -44,7 +44,7 @@ class TestSweep:
 
         problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
         with pytest.raises(ValueError, match="unknown strategy 'magic'"):
-            run_sweep(problem, strategies=("magic",), n_list=(500,), repetitions=1)
+            run_sweep(problem, strategies=("magic",), n_list=(500,), workers_list=(2,), repetitions=1)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ class TestSweep:
 
         problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_sweep(problem, **{"n_list": (500,), "repetitions": 1, **sweep})
+            run_sweep(problem, **{"n_list": (500,), "workers_list": (2,), "repetitions": 1, **sweep})
         assert calls == []
 
     def test_speedups_and_schema(self, force_helpers):
@@ -98,7 +98,7 @@ class TestSweep:
 
         problem = FractionalProblem(alpha=0.5, dim=1, rhs=exploding, y0=[0.0], t_end=1.0)
         records, _ = run_sweep(
-            problem, strategies=("serial",), n_list=(50, 100), repetitions=1
+            problem, strategies=("serial",), n_list=(50, 100), workers_list=(2,), repetitions=1
         )
         assert len(records) == 2
         assert all(r.error for r in records)
@@ -141,7 +141,7 @@ class TestSweep:
             return SimpleNamespace(states=np.zeros(3))
 
         monkeypatch.setattr(bench, "solve_strategy", fake_solve)
-        records, _ = run_sweep(linear_problem(), n_list=(100,), repetitions=3)
+        records, _ = run_sweep(linear_problem(), n_list=(100,), workers_list=(2,), repetitions=3)
         assert calls == ["serial", "block", "reduction"] * 2 + ["serial", "reduction"] * 2
         by_strategy = {r.strategy: r for r in records}
         assert "step 7" in by_strategy["block"].error
@@ -157,7 +157,7 @@ class TestSweep:
 
         monkeypatch.setattr(bench, "solve_strategy", fake_solve)
         with pytest.raises(RuntimeError, match="nondeterministic"):
-            run_sweep(linear_problem(), strategies=("serial",), n_list=(100,), repetitions=2)
+            run_sweep(linear_problem(), strategies=("serial",), n_list=(100,), workers_list=(2,), repetitions=2)
 
     def test_projection_follows_square_law(self):
         records = [BenchRecord("serial", 1000, 1, None, 2.0, 3, 1.0)]

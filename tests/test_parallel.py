@@ -166,7 +166,7 @@ class TestBlockStrategy:
         n, workers = 1000, 4
         stats = {}
         solve_block_parallel(problem, problem.grid(n), workers, stats=stats)
-        plan = stats["plan"]
+        plan = make_partition(n, workers)
         idle = stats["idle_steps"]
         msgs = stats["partial_sums_sent"]
         for w in range(workers):
@@ -182,7 +182,7 @@ class TestBlockStrategy:
         n, workers = 800, 4
         stats = {}
         solve_block_parallel(problem, problem.grid(n), workers, stats=stats)
-        plan = stats["plan"]
+        plan = make_partition(n, workers)
         for w in range(workers):
             assert stats["idle_steps"][w] / n == pytest.approx(idle_fraction(plan, w))
 
@@ -268,11 +268,11 @@ class TestReductionStrategy:
 
     def test_stats_schema(self):
         problem = linear_problem(0.5, -1.0)
-        stats = {}
-        solve_reduction_parallel(problem, problem.grid(300), 2, chunk=32, stats=stats)
-        assert stats["chunk"] == 32
+        stats, chunk = {}, 32
+        solve_reduction_parallel(problem, problem.grid(300), 2, chunk=chunk, stats=stats)
+        assert sorted(stats) == ["idle_steps", "partial_sums_sent"]
         # the helper's span is empty while the history has a single chunk
-        assert stats["idle_steps"].tolist() == [0, 32]
+        assert stats["idle_steps"].tolist() == [0, chunk]
         assert stats["partial_sums_sent"][1] > 0
 
 
@@ -441,14 +441,11 @@ def test_trajectory_shares_the_step_buffers():
     problem = linear_problem(0.6, -1.0, y0=(1.0, 2.0))
     grid = problem.grid(10)
     step = PeceStep(problem, grid)
-    for n in range(grid.n_steps):
-        step.history(n, 0, n + 1, step.S)
-        step.advance(n)
+    step.run(0, grid.n_steps)
     traj = step.trajectory()
     assert np.shares_memory(traj.states, step.Y) and np.shares_memory(traj.f_cache, step.fT)
     with pytest.raises(ValueError):  # the step has ended
-        step.history(0, 0, 1, step.S)
-        step.advance(0)
+        step.run(0, 1)
 
 
 @every_strategy
@@ -689,7 +686,7 @@ def test_successful_solve_calls_rhs_once_per_evaluation(solve):
 
 
 @parallel_strategies
-def test_watchdog_breaks_hang(solve):
+def test_watchdog_breaks_hang(solve, monkeypatch):
     # a helper that stops answering trips the coordinator's watchdog; at
     # N=2000 a helper stopped mid-run cannot have finished a ring ahead
     stopped = []
@@ -702,10 +699,11 @@ def test_watchdog_breaks_hang(solve):
         return -y
 
     problem = FractionalProblem(alpha=0.5, dim=1, rhs=rhs, y0=[1.0], t_end=1.0)
+    monkeypatch.setattr(_shm, "WATCHDOG_S", 1.0)
     t0 = time.monotonic()
     try:
         with pytest.raises(StrategyTimeoutError):
-            solve(problem, problem.grid(2000), 2, watchdog_s=1.0)
+            solve(problem, problem.grid(2000), 2)
     finally:
         for pid in stopped:
             try:

@@ -10,7 +10,14 @@ from fodeabm import serial
 from fodeabm.serial import PeceStep
 from fodeabm.systems import rhs_constant
 
-from conftest import CRITERION_6_DIM, constant_problem, linear_problem, power_problem, sup_rel_dev
+from conftest import (
+    CRITERION_6_DIM,
+    constant_problem,
+    linear_problem,
+    power_problem,
+    sums_written,
+    sup_rel_dev,
+)
 
 SQRT01_B0 = 0.35682482323055422291  # sqrt(0.1) / Gamma(1.5)
 
@@ -55,9 +62,8 @@ def step_over(problem, grid, traj, n):
 def advance_over(problem, grid, traj, n):
     """Run step n of the shared kernel on ``traj``'s history: (yP, y_{n+1})."""
     step = step_over(problem, grid, traj, n)
-    step.history(n, 0, n + 1, step.S)
-    yP = step.advance(n)
-    return yP, step.Y[n + 1]
+    step.run(n, n + 1)
+    return step.yP, step.Y[n + 1]
 
 
 class TestStepOperations:
@@ -135,8 +141,8 @@ class TestStepOperations:
         table = precompute_weights(0.6, 10)
         ha = grid.h**0.6
         assert step.S.tolist() == [[v * (ha * table.a[0]), v * (ha * table.b[0])] for v in (-1.0, -2.0, -3.0)]
-        yP = step.advance(0)
-        assert np.shares_memory(yP, step.G[:, 3])
+        step.run(0, 1, sums_written)
+        assert np.shares_memory(step.yP, step.G[:, 3])
 
     def test_corrector_rejects_non_finite_prediction(self):
         problem = linear_problem(alpha=0.5, lam=-1.0)
@@ -146,7 +152,7 @@ class TestStepOperations:
         step.history(1, 0, 2, step.S)
         step.S[0, 0] = float("nan")
         with pytest.raises(SolverStepError) as err:
-            step.advance(1)
+            step.run(1, 2, sums_written)
         assert err.value.step == 1
 
 

@@ -18,7 +18,7 @@ from conftest import host_line, linear_problem
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the memory-map scan itself, uncached and out of reach of a patched openblas()
-scan_openblas = _threads.openblas.__wrapped__
+scan_openblas = _threads.mapped_openblas
 
 
 def openblas_calls(path: str):
@@ -127,10 +127,56 @@ def test_openblas_pinned_directly_with_threadpoolctl_importable(standin_threadpo
 def test_every_mapped_openblas_is_pinned(standin_threadpoolctl):
     """numpy's and scipy's OpenBLAS are both pinned, not only the first by path order."""
     pytest.importorskip("scipy.linalg")  # maps scipy's own OpenBLAS
-    _threads.openblas.cache_clear()  # the map is read on the next pin
     blas = assert_pins_every_openblas()
     assert {"numpy.libs", "scipy.libs"} <= {Path(path).parent.name for path, _ in blas}
     assert standin_threadpoolctl.calls == []
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_openblas_imported_after_a_solve_is_pinned():
+    """An OpenBLAS that an import maps after the first solve is pinned by the next one."""
+    pytest.importorskip("scipy.linalg")
+    code = """
+import ctypes
+from pathlib import Path
+import fodeabm
+from fodeabm._threads import single_threaded_blas
+problem = fodeabm.FractionalProblem(0.5, 1, fodeabm.rhs_linear(-1.0), [1.0], 1.0)
+fodeabm.solve_serial(problem, problem.grid(100))
+import scipy.linalg
+with open("/proc/self/maps") as maps:
+    paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+(path,) = [p for p in paths if Path(p).parent.name == "scipy.libs"]
+count = ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+count.value = 2  # above 1 on a one-CPU host too
+with single_threaded_blas():
+    print(count.value)
+print(count.value)
+"""
+    assert run_fresh(code).split() == ["1", "2"]
+
+
+def test_map_read_once_over_back_to_back_solves():
+    """A process that imports nothing between solves reads its memory map once."""
+    code = """
+import fodeabm
+from fodeabm import _threads
+reads = []
+scan = _threads.mapped_openblas
+_threads.mapped_openblas = lambda: reads.append(1) or scan()
+problem = fodeabm.FractionalProblem(0.5, 1, fodeabm.rhs_linear(-1.0), [1.0], 1.0)
+for _ in range(50):
+    fodeabm.solve_serial(problem, problem.grid(100))
+print(len(reads))
+"""
+    assert run_fresh(code).split() == ["1"]
 
 
 def test_threadpoolctl_pins_a_blas_that_is_not_openblas(standin_threadpoolctl, monkeypatch):

@@ -118,14 +118,6 @@ class TestObservedOrder:
 
 
 class TestConvergenceReport:
-    def test_csv_round_trip(self):
-        rep = ConvergenceReport.from_errors(0.5, "power-law beta=2", [(100, 1e-2), (200, 2.5e-3)])
-        text = rep.to_csv()
-        back = ConvergenceReport.parse_csv(text)
-        assert back == rep
-        assert text.splitlines()[0] == "alpha,problem,N,sup_error"
-        assert text.splitlines()[-1].startswith("observed_order,")
-
     def test_csv_bytes(self):
         # written by the bench CSV writer: 17 digits, quoting, nan as "nan"
         rep = ConvergenceReport(alpha=0.3, problem="linear, lam=-1", errors=((100, 0.1), (200, 1e-300)))

@@ -6,43 +6,17 @@ import pytest
 from fodeabm import (
     corrector_weight_a,
     corrector_weight_c,
-    gamma,
     precompute_weights,
     predictor_weight,
 )
 
 # reference values computed with a 30-digit independent evaluation (mpmath)
-GAMMA_REFS = {
-    1.0: 1.0,
-    2.0: 1.0,
-    0.5: 1.7724538509055160273,
-    1.5: 0.88622692545275801365,
-    2.5: 1.3293403881791370205,
-    3.7: 4.1706517837966040301,
-    5.0: 24.0,
-}
-
 B0_HALF = 1.1283791670955125739  # 1/Gamma(1.5)
 B1_HALF = 0.46738995451021813786  # (sqrt(2)-1)/Gamma(1.5)
 A0_HALF = 0.62318660601362418382  # (2^1.5-2)/Gamma(2.5)
 A10_HALF = 0.17019763901701524634
 C0_HALF = 0.37612638903183752463  # 0.5/Gamma(2.5)
 C1_HALF = 0.22032973752843147868  # (1-0.5*sqrt(2))/Gamma(2.5)
-
-
-class TestGamma:
-    @pytest.mark.parametrize("x,want", sorted(GAMMA_REFS.items()))
-    def test_reference_values(self, x, want):
-        assert gamma(x) == pytest.approx(want, rel=1e-13)
-
-    def test_integers_exact(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(2.0) == 1.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("inf"), float("nan")])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            gamma(bad)
 
 
 class TestPredictorWeight:
