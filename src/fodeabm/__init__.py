@@ -19,7 +19,6 @@ from .core import (
 )
 from .parallel import (
     PartitionPlan,
-    idle_fraction,
     make_partition,
     owner,
     solve_block_parallel,
@@ -54,7 +53,6 @@ __all__ = [
     "solve_serial",
     "make_partition",
     "owner",
-    "idle_fraction",
     "solve_block_parallel",
     "solve_reduction_parallel",
     "rhs_constant",

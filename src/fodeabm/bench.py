@@ -1,4 +1,5 @@
-"""Timing harness: strategy sweeps, speedups, idle counts, O(N^2) projection.
+"""Timing harness: strategy sweeps, speedups, idle counts, O(N^2) projection,
+and the one CSV writer of every file the package writes.
 
 A cell is one (strategy, N, P, chunk) configuration.  ``run_sweep`` is the
 one timing loop: it takes each N in turn, warms every cell up once, then
@@ -12,11 +13,10 @@ invalidate the whole comparison.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 from .core import FractionalProblem, SolverStepError, StrategyTimeoutError
 from .parallel import solve_block_parallel, solve_reduction_parallel
@@ -27,8 +27,6 @@ __all__ = [
     "BenchRecord",
     "solve_strategy",
     "run_sweep",
-    "records_to_csv",
-    "idle_to_csv",
     "write_csv",
     "project_time",
 ]
@@ -182,25 +180,12 @@ def project_time(records: list[BenchRecord], n_target: int) -> float | None:
     return biggest.wall_time_s * (n_target / biggest.n_steps) ** 2
 
 
-def write_csv(fh, header, rows) -> None:
-    """A header line, then one line per row.
+def write_csv(path: str, header, rows) -> None:
+    """Write ``path``, UTF-8 with "\\n" line ends: a header line, then one line per row.
 
     Floats keep 17 significant digits, so they round-trip; None is blank.
     """
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
-
-
-def _csv_text(header, rows) -> str:
-    out = io.StringIO()
-    write_csv(out, header, rows)
-    return out.getvalue()
-
-
-def records_to_csv(records: list[BenchRecord]) -> str:
-    return _csv_text([f.name for f in fields(BenchRecord)], map(astuple, records))
-
-
-def idle_to_csv(idle_rows: list[dict]) -> str:
-    return _csv_text(IDLE_FIELDS, ([row[k] for k in IDLE_FIELDS] for row in idle_rows))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)

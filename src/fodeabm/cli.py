@@ -14,10 +14,10 @@ import os
 import sys
 
 from .bench import (
+    IDLE_FIELDS,
     STRATEGIES,
-    idle_to_csv,
+    BenchRecord,
     project_time,
-    records_to_csv,
     run_sweep,
     solve_strategy,
     write_csv,
@@ -134,19 +134,6 @@ def build_problem(settings: dict) -> FractionalProblem:
     raise ValueError(f"unknown system {system!r}; choose from {', '.join(SYSTEM_NAMES)}")
 
 
-def write_trajectory_csv(path: str, traj) -> None:
-    """Header t,y0,..,y{d-1}; 17 significant digits so values round-trip."""
-    header = ["t"] + [f"y{i}" for i in range(traj.dim)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # Python floats: formatting numpy scalars is about a third slower
-        write_csv(fh, header, ([t, *y] for t, y in zip(traj.t.tolist(), traj.states.tolist())))
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def load_config_file(path: str) -> dict:
     """Plain key=value lines; '#' starts a comment; keys use flag names."""
     out = {}
@@ -222,7 +209,9 @@ def _cmd_solve(settings: dict) -> int:
     chunk = int(settings["chunk"])
     output = settings["output"]
     traj = solve_strategy(problem, settings["strategy"], n_steps, workers[0], chunk)
-    write_trajectory_csv(output, traj)
+    header = ["t"] + [f"y{i}" for i in range(traj.dim)]
+    # Python floats: formatting numpy scalars is about a third slower
+    write_csv(output, header, ([t, *y] for t, y in zip(traj.t.tolist(), traj.states.tolist())))
     print(f"wrote {traj.states.shape[0]} rows to {output}")
     return 0
 
@@ -239,11 +228,12 @@ def _cmd_bench(settings: dict) -> int:
         repetitions=int(settings["reps"]),
         log=print,
     )
-    _write(output, records_to_csv(records))
+    header = [f.name for f in dataclasses.fields(BenchRecord)]
+    write_csv(output, header, map(dataclasses.astuple, records))
     print(f"wrote {len(records)} records to {output}")
     if idle_rows:
         idle_path = settings["idle_output"] or (os.path.splitext(output)[0] + "_idle.csv")
-        _write(idle_path, idle_to_csv(idle_rows))
+        write_csv(idle_path, IDLE_FIELDS, map(dict.values, idle_rows))
         print(f"wrote idle counts to {idle_path}")
     target = int(settings["project"])
     proj = project_time(records, target)
@@ -258,7 +248,8 @@ def _cmd_bench(settings: dict) -> int:
 def _cmd_verify(settings: dict) -> int:
     output = settings["output"]
     results, reports = run_verification_suite()
-    _write(output, "".join(report.to_csv() for report in reports))
+    rows = [(r.alpha, r.problem, n, e, r.observed_order) for r in reports for n, e in r.errors]
+    write_csv(output, ["alpha", "problem", "N", "sup_error", "observed_order"], rows)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
     print(f"wrote convergence reports to {output}")

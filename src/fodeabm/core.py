@@ -29,6 +29,9 @@ __all__ = [
 
 RhsFunction = Callable[[float, np.ndarray], "np.ndarray | tuple | list"]
 
+# relative tolerance of a grid's h*N against the problem's t_end
+SPAN_RTOL = 1e-12
+
 
 class SolverStepError(RuntimeError):
     """A time step produced a non-finite value or a failing rhs evaluation.
@@ -156,9 +159,9 @@ class GridSpec:
         """All grid points t_0..t_N."""
         return np.arange(self.n_steps + 1, dtype=np.float64) * self.h
 
-    def spans(self, t_end: float, rtol: float = 1e-12) -> bool:
-        """True when h*N reproduces t_end to within roundoff."""
-        return abs(self.h * self.n_steps - t_end) <= rtol * abs(t_end)
+    def spans(self, t_end: float) -> bool:
+        """True when h*N reproduces t_end to within roundoff (``SPAN_RTOL``)."""
+        return abs(self.h * self.n_steps - t_end) <= SPAN_RTOL * abs(t_end)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PartitionPlan", "make_partition", "owner", "idle_fraction"]
+__all__ = ["PartitionPlan", "make_partition", "owner"]
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,3 @@ def owner(plan: PartitionPlan, n: int) -> int:
         raise IndexError(f"step index {n} outside [0, {plan.n_steps})")
     return min(n // plan.block_size, plan.n_workers - 1)
 
-
-def idle_fraction(plan: PartitionPlan, worker: int) -> float:
-    """Fraction of steps during which a worker has no owned or sendable work.
-
-    Worker p is idle exactly while the iteration has not yet reached its
-    block, i.e. for the steps n with owner(n) < p.  For an even split this is
-    p/P; a worker whose block is empty is idle for the whole run.
-    """
-    if not 0 <= worker < plan.n_workers:
-        raise IndexError(f"worker index {worker} outside [0, {plan.n_workers})")
-    return min(worker * plan.block_size, plan.n_steps) / plan.n_steps

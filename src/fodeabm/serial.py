@@ -72,6 +72,9 @@ class Trajectory:
 
 
 PANEL = 16  # steps per panel once the history outgrows L2
+# Panels pay only from this width on: just above L2, K=16 was slower than
+# K=1 at d = 3, 4 and 6 and faster at d = 8 (README, Panel contraction)
+PANEL_MIN_DIM = 8
 
 # Steps between finiteness scans.  A failing solve runs at most BLOCK - 1
 # steps past its failure; 64 is the smallest block within the noise of the
@@ -101,8 +104,9 @@ def _l2_bytes() -> int:
 
 
 def _panel_width(dim: int, n_steps: int) -> int:
-    """K: PANEL once the history, 8*dim*(N+1) bytes, exceeds L2, else 1."""
-    return PANEL if 0 < _l2_bytes() < 8 * dim * (n_steps + 1) else 1
+    """K: PANEL for at least PANEL_MIN_DIM components once the history,
+    8*dim*(N+1) bytes, exceeds L2, else 1."""
+    return PANEL if dim >= PANEL_MIN_DIM and 0 < _l2_bytes() < 8 * dim * (n_steps + 1) else 1
 
 
 class PeceStep:

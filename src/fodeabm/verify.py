@@ -8,7 +8,6 @@ comes from a straight log-log fit of errors against the step size.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -119,13 +118,3 @@ class ConvergenceReport:
             raise ValueError("N values must be strictly increasing")
         if any(e < 0.0 for _, e in self.errors):
             raise ValueError("errors must be non-negative")
-
-    def to_csv(self) -> str:
-        """Rows alpha,problem,N,sup_error plus a trailing observed_order line."""
-        # imported here: ``import fodeabm`` does not load the bench harness
-        from .bench import write_csv
-        out = io.StringIO()
-        rows = [(float(self.alpha), self.problem, n, float(e)) for n, e in self.errors]
-        rows.append(("observed_order", float(self.observed_order)))
-        write_csv(out, ["alpha", "problem", "N", "sup_error"], rows)
-        return out.getvalue()

@@ -21,6 +21,10 @@ SPEEDUP_DOC_MIN = {"block": 1.5, "reduction": 1.8}
 CRITERION_6_DIM = 3
 CRITERION_6_STEPS = (10000, 20000, 40000)
 
+# Criterion 8 solves Hindmarsh-Rose (d=3) twice on this grid; its history,
+# 2.29 MiB, is just above a 2 MiB L2.
+CRITERION_8_STEPS = 100_000
+
 
 def _cgroup_cpu_quota() -> float | None:
     """CPUs granted by the cgroup CPU quota (v2 ``cpu.max``, else v1 CFS), or None."""
@@ -142,6 +146,7 @@ def host_line() -> str:
         f"criterion 6 (d={CRITERION_6_DIM}, N={CRITERION_6_STEPS[-1]})": serial._panel_width(
             CRITERION_6_DIM, CRITERION_6_STEPS[-1]
         ),
+        f"criterion 8 (d=3, N={CRITERION_8_STEPS})": serial._panel_width(3, CRITERION_8_STEPS),
     }
     return (
         f"BLAS pin: {blas_pin()}; L2 {serial._l2_bytes()} bytes; "

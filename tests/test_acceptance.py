@@ -33,6 +33,7 @@ from fodeabm.serial import PeceStep
 from conftest import (
     CRITERION_6_DIM,
     CRITERION_6_STEPS,
+    CRITERION_8_STEPS,
     SPEEDUP_CHUNK,
     SPEEDUP_DOC_STEPS,
     block_ceiling,
@@ -76,7 +77,7 @@ def test_criterion_2_analytic_convergence():
     lines = []
     all_ok = True
     for alpha in (0.3, 0.5, 0.8, 1.0):
-        report, terminal = power_law_study(alpha, n_list=(500, 1000, 2000))
+        report, terminal = power_law_study(alpha)
         bound = min(2.0, 1.0 + alpha) - 0.2
         max_err = max(e for _, e in report.errors)
         exact = max_err <= 1e-13  # alpha=1 integrates t^2 exactly; order unobservable
@@ -304,7 +305,7 @@ def test_criterion_7_idle_fraction():
 def test_criterion_8_hindmarsh_rose_long_run():
     t0 = time.perf_counter()
     problem = hr_problem(alpha=0.9, t_end=1000.0)
-    grid = problem.grid(100_000)
+    grid = problem.grid(CRITERION_8_STEPS)
     a = solve_serial(problem, grid)
     b = solve_serial(problem, grid)
     finite = bool(np.isfinite(a.states).all())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -7,11 +8,11 @@ import pytest
 
 from fodeabm import FractionalProblem, SolverStepError, bench
 from fodeabm.bench import (
+    IDLE_FIELDS,
     BenchRecord,
-    idle_to_csv,
     project_time,
-    records_to_csv,
     run_sweep,
+    write_csv,
 )
 
 from conftest import linear_problem
@@ -166,15 +167,17 @@ class TestSweep:
 
 
 class TestCsv:
-    def test_records_header_and_chunk_blank(self):
-        text = records_to_csv([BenchRecord("serial", 10, 1, None, 0.5, 3, 1.0)])
-        lines = text.splitlines()
+    def test_records_header_and_chunk_blank(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        header = [f.name for f in dataclasses.fields(BenchRecord)]
+        write_csv(path, header, map(dataclasses.astuple, [BenchRecord("serial", 10, 1, None, 0.5, 3, 1.0)]))
+        lines = path.read_bytes().decode("utf-8").splitlines()
         assert lines[0] == (
             "strategy,n_steps,workers,chunk,wall_time_s,repetitions,speedup_vs_serial,error"
         )
         assert lines[1].split(",")[3] == ""
 
-    def test_idle_csv(self):
+    def test_idle_csv(self, tmp_path):
         rows = [
             {
                 "strategy": "block",
@@ -185,6 +188,8 @@ class TestCsv:
                 "messages_sent": 100,
             }
         ]
-        lines = idle_to_csv(rows).splitlines()
+        path = tmp_path / "idle.csv"
+        write_csv(path, IDLE_FIELDS, map(dict.values, rows))
+        lines = path.read_bytes().decode("utf-8").splitlines()
         assert lines[0] == "strategy,n_steps,workers,worker,idle_steps,messages_sent"
         assert lines[1] == "block,100,2,1,50,100"

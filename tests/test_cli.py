@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -367,8 +368,13 @@ class TestVerify:
         assert rc == 0
         text = capsys.readouterr().out
         assert "PASS" in text and "FAIL" not in text
-        body = out.read_text()
-        assert body.count("observed_order") == 4  # one per alpha studied
+        with open(out, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        # one table: one row per (alpha, N), 4 alphas x 3 grids
+        assert reader.fieldnames == ["alpha", "problem", "N", "sup_error", "observed_order"]
+        assert len(rows) == 12
+        assert all(math.isfinite(float(row["observed_order"])) for row in rows)
 
 
 class TestConsoleEntry:

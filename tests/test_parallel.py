@@ -15,7 +15,6 @@ from fodeabm import (
     GridSpec,
     SolverStepError,
     StrategyTimeoutError,
-    idle_fraction,
     make_partition,
     owner,
     solve_block_parallel,
@@ -88,12 +87,6 @@ class TestPartition:
             owner(plan, 6)
         with pytest.raises(IndexError):
             owner(plan, -1)
-
-    def test_idle_fraction_examples(self):
-        plan = make_partition(1000, 4)
-        assert idle_fraction(plan, 0) == 0.0
-        assert idle_fraction(plan, 3) == pytest.approx(0.75)
-        assert idle_fraction(make_partition(10, 1), 0) == 0.0
 
     def test_work_conservation_per_step(self):
         # at step n the senders below the owner cover their full blocks and
@@ -176,15 +169,6 @@ class TestBlockStrategy:
         assert msgs[0] == 0
         for w in range(1, workers):
             assert msgs[w] == 2 * (n - plan.blocks[w - 1][1])
-
-    def test_idle_matches_idle_fraction(self):
-        problem = linear_problem(0.5, -1.0)
-        n, workers = 800, 4
-        stats = {}
-        solve_block_parallel(problem, problem.grid(n), workers, stats=stats)
-        plan = make_partition(n, workers)
-        for w in range(workers):
-            assert stats["idle_steps"][w] / n == pytest.approx(idle_fraction(plan, w))
 
     def test_step_error_propagates_with_index(self):
         def exploding(t, y):

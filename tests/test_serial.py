@@ -215,8 +215,13 @@ class TestPanelHistory:
 
     def test_rule_keeps_fitting_histories_unpanelled(self, monkeypatch):
         # hr-long, short-many, criterion 5 (HR, N=5e4) and criterion 6 fit
-        # a 2 MiB L2 and run the unpanelled product; wide-linear does not
-        shapes = {(3, 20000): 1, (1, 2000): 1, (3, 50000): 1, (CRITERION_6_DIM, 40000): 1, (64, 5000): 16}
+        # a 2 MiB L2 and run the unpanelled product; wide-linear does not.
+        # Above L2, panels are for wide histories only: criterion 8 (HR,
+        # N=1e5) stays unpanelled, d = 8, 16 and 64 panel
+        shapes = {
+            (3, 20000): 1, (1, 2000): 1, (3, 50000): 1, (CRITERION_6_DIM, 40000): 1,
+            (3, 100_000): 1, (8, 50_000): 16, (16, 20_000): 16, (64, 5000): 16,
+        }
         monkeypatch.setattr(serial, "_l2_bytes", lambda: 2 << 20)
         assert {shape: serial._panel_width(*shape) for shape in shapes} == shapes
         # an unreadable L2 size never panels

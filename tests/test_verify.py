@@ -11,6 +11,7 @@ from fodeabm import (
     observed_order,
     solve_serial,
 )
+from fodeabm.bench import write_csv
 from fodeabm.checks import (
     EQUIV_STEPS,
     check_constant_forcing,
@@ -118,14 +119,17 @@ class TestObservedOrder:
 
 
 class TestConvergenceReport:
-    def test_csv_bytes(self):
-        # written by the bench CSV writer: 17 digits, quoting, nan as "nan"
+    def test_csv_bytes(self, tmp_path):
+        # a report's rows as verify writes them, through the one CSV writer:
+        # 17 digits, quoting, nan as "nan"
         rep = ConvergenceReport(alpha=0.3, problem="linear, lam=-1", errors=((100, 0.1), (200, 1e-300)))
-        assert rep.to_csv() == (
-            "alpha,problem,N,sup_error\n"
-            '0.29999999999999999,"linear, lam=-1",100,0.10000000000000001\n'
-            '0.29999999999999999,"linear, lam=-1",200,1e-300\n'
-            "observed_order,nan\n"
+        path = tmp_path / "report.csv"
+        rows = [(rep.alpha, rep.problem, n, e, rep.observed_order) for n, e in rep.errors]
+        write_csv(path, ["alpha", "problem", "N", "sup_error", "observed_order"], rows)
+        assert path.read_bytes() == (
+            b"alpha,problem,N,sup_error,observed_order\n"
+            b'0.29999999999999999,"linear, lam=-1",100,0.10000000000000001,nan\n'
+            b'0.29999999999999999,"linear, lam=-1",200,1e-300,nan\n'
         )
 
     def test_invariants(self):
@@ -140,15 +144,15 @@ class TestSolverAgainstOracles:
         assert abs(traj.states[-1, 0] - E_HALF_MINUS_ONE) <= 1e-5
 
     def test_power_law_order_near_theory(self):
-        report, terminal = power_law_study(0.5, n_list=(250, 500, 1000))
+        report, terminal = power_law_study(0.5)
         assert report.observed_order >= 1.3
         assert terminal <= 1e-2
 
     def test_check_wrappers_pass(self):
-        results, reports = check_power_law_orders(alphas=(0.5,), n_list=(250, 500))
+        results, reports = check_power_law_orders()
         assert all(r.passed for r in results)
         assert reports[0].problem.startswith("power-law")
-        assert check_linear_mittag_leffler(n_steps=1000).passed
+        assert check_linear_mittag_leffler().passed
         assert check_constant_forcing().passed
 
 
@@ -201,7 +205,7 @@ class TestMutationDetection:
 
         monkeypatch.setattr(serial, "precompute_weights", sabotaged)
         # the "+" convention is not a consistent quadrature; the check fails
-        assert not check_linear_mittag_leffler(n_steps=500).passed
+        assert not check_linear_mittag_leffler().passed
 
     def test_missing_first_node_term_fails_verification(self, monkeypatch):
         import fodeabm.core as core
@@ -216,4 +220,4 @@ class TestMutationDetection:
             )
 
         monkeypatch.setattr(serial, "precompute_weights", sabotaged)
-        assert not check_constant_forcing(n_steps=500).passed
+        assert not check_constant_forcing().passed
