@@ -12,10 +12,7 @@ from .core import (
     SolverStepError,
     StrategyTimeoutError,
     WeightTable,
-    corrector_weight_a,
-    corrector_weight_c,
     precompute_weights,
-    predictor_weight,
 )
 from .parallel import (
     PartitionPlan,
@@ -46,9 +43,6 @@ __all__ = [
     "HindmarshRoseParams",
     "SolverStepError",
     "StrategyTimeoutError",
-    "predictor_weight",
-    "corrector_weight_a",
-    "corrector_weight_c",
     "precompute_weights",
     "solve_serial",
     "make_partition",

@@ -23,6 +23,7 @@ from .verify import ConvergenceReport, mittag_leffler
 __all__ = [
     "CheckResult",
     "power_law_study",
+    "exact_to_roundoff",
     "check_power_law_orders",
     "check_linear_mittag_leffler",
     "check_strategy_equivalence",
@@ -83,6 +84,14 @@ def power_law_study(alpha: float) -> tuple[ConvergenceReport, float]:
     return ConvergenceReport.from_errors(alpha, f"power-law beta={BETA:g}", errors), terminal
 
 
+def exact_to_roundoff(report: ConvergenceReport) -> bool:
+    """True when every sup error of ``report`` is at or below ``ROUNDOFF_FLOOR``.
+
+    The errors are then roundoff, and the fitted order says nothing.
+    """
+    return max(e for _, e in report.errors) <= ROUNDOFF_FLOOR
+
+
 def check_power_law_orders() -> tuple[list[CheckResult], list[ConvergenceReport]]:
     """Observed order >= min(2, 1+alpha) - slack, terminal error <= 1e-2.
 
@@ -96,17 +105,19 @@ def check_power_law_orders() -> tuple[list[CheckResult], list[ConvergenceReport]
         report, terminal = power_law_study(alpha)
         reports.append(report)
         bound = min(2.0, 1.0 + alpha) - ORDER_SLACK
-        max_err = max(e for _, e in report.errors)
-        exact_to_roundoff = max_err <= ROUNDOFF_FLOOR
-        order_ok = exact_to_roundoff or report.observed_order >= bound
+        if exact_to_roundoff(report):
+            order_ok = True
+            order = f"order not observable (bound {bound:.2f}, exact to roundoff)"
+        else:
+            order_ok = report.observed_order >= bound
+            order = f"order={report.observed_order:.3f} (bound {bound:.2f})"
         terminal_ok = terminal <= TERMINAL_TOL
-        detail = (
-            f"order={report.observed_order:.3f} (bound {bound:.2f}"
-            f"{', exact to roundoff' if exact_to_roundoff else ''}), "
-            f"terminal={terminal:.3e}"
-        )
         results.append(
-            CheckResult(f"power-law order alpha={alpha:g}", order_ok and terminal_ok, detail)
+            CheckResult(
+                f"power-law order alpha={alpha:g}",
+                order_ok and terminal_ok,
+                f"{order}, terminal={terminal:.3e}",
+            )
         )
     return results, reports
 

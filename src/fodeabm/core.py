@@ -21,9 +21,6 @@ __all__ = [
     "WeightTable",
     "SolverStepError",
     "StrategyTimeoutError",
-    "predictor_weight",
-    "corrector_weight_a",
-    "corrector_weight_c",
     "precompute_weights",
 ]
 
@@ -72,42 +69,20 @@ def _c(alpha: float, n: np.ndarray) -> np.ndarray:
     return (n ** p - (n - alpha) * (n + 1.0) ** alpha) / math.gamma(alpha + 2.0)
 
 
-def _single(formula, alpha: float, n: int) -> float:
-    alpha = _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    # evaluated through a length-1 array so the result is bitwise identical
-    # to the bulk fill (numpy's vector pow differs from scalar pow by 1 ulp)
-    return float(formula(alpha, np.array([float(n)]))[0])
-
-
-def predictor_weight(alpha: float, n: int) -> float:
-    """Predictor weight b_n = ((n+1)^alpha - n^alpha) / Gamma(alpha+1).
-
-    At alpha = 1 this reduces to the classical rectangle-rule weight 1.
-    """
-    return _single(_b, alpha, n)
-
-
-def corrector_weight_a(alpha: float, n: int) -> float:
-    """Interior corrector weight
-    a_n = ((n+2)^(alpha+1) - 2(n+1)^(alpha+1) + n^(alpha+1)) / Gamma(alpha+2).
-    """
-    return _single(_a, alpha, n)
-
-
-def corrector_weight_c(alpha: float, n: int) -> float:
-    """First-node corrector weight
-    c_n = (n^(alpha+1) - (n - alpha)(n+1)^alpha) / Gamma(alpha+2).
-
-    c_0 = alpha / Gamma(alpha+2) exactly.
-    """
-    return _single(_c, alpha, n)
-
-
 @dataclass(frozen=True)
 class WeightTable:
-    """Precomputed weight arrays b, a, c for indices 0..N."""
+    """Precomputed weight arrays b, a, c for indices n = 0..N.
+
+    Predictor weights b_n = ((n+1)^alpha - n^alpha) / Gamma(alpha+1).
+    Interior corrector weights
+    a_n = ((n+2)^(alpha+1) - 2(n+1)^(alpha+1) + n^(alpha+1)) / Gamma(alpha+2).
+    First-node corrector weights
+    c_n = (n^(alpha+1) - (n - alpha)(n+1)^alpha) / Gamma(alpha+2),
+    so c_0 = alpha / Gamma(alpha+2) exactly.
+
+    At alpha = 1 they reduce to the classical rules: b_n = 1 (rectangle),
+    a_n = 1 and c_n = 1/2 (trapezoid).
+    """
 
     alpha: float
     b: np.ndarray
@@ -118,9 +93,7 @@ class WeightTable:
 def precompute_weights(alpha: float, n_steps: int) -> WeightTable:
     """Fill a :class:`WeightTable` for n = 0..n_steps.
 
-    Each entry is bitwise identical to the corresponding single-call weight
-    function (both paths evaluate the same formula and libm ``pow``).  The
-    fill is a vectorised O(N) pass; entries are independent of one another.
+    The fill is a vectorised O(N) pass; entries are independent of one another.
     """
     alpha = _check_alpha(alpha)
     n_steps = int(n_steps)
