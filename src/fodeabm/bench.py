@@ -1,5 +1,5 @@
-"""Timing harness: strategy sweeps, speedups, idle counts, O(N^2) projection,
-and the one CSV writer of every file the package writes.
+"""Timing harness: strategy sweeps, speedups, idle counts, and the one CSV
+writer of every file the package writes.
 
 A cell is one (strategy, N, P, chunk) configuration.  ``run_sweep`` is the
 one timing loop: it takes each N in turn, warms every cell up once, then
@@ -28,11 +28,10 @@ __all__ = [
     "solve_strategy",
     "run_sweep",
     "write_csv",
-    "project_time",
 ]
 
 STRATEGIES = ("serial", "block", "reduction")
-IDLE_FIELDS = ("strategy", "n_steps", "workers", "worker", "idle_steps", "messages_sent")
+IDLE_FIELDS = ("strategy", "n_steps", "workers", "worker", "idle_steps", "partial_sums_sent")
 
 
 @dataclass(frozen=True)
@@ -160,24 +159,12 @@ def run_sweep(
             )
             if log:
                 log(f"{label} {t:8.3f}s" + ("" if strategy == "serial" else f"  speedup {speedup:5.2f}"))
-            if strategy == "block" and "idle_steps" in stats[cell]:
+            if strategy == "block":
                 sent = stats[cell]["partial_sums_sent"]
                 for w, idle in enumerate(stats[cell]["idle_steps"]):
                     row = (strategy, n_steps, workers, w, int(idle), int(sent[w]))
                     idle_rows.append(dict(zip(IDLE_FIELDS, row)))
     return records, idle_rows
-
-
-def project_time(records: list[BenchRecord], n_target: int) -> float | None:
-    """Extrapolate the serial wall time to n_target via the O(N^2) cost model.
-
-    Uses the largest measured serial cell: t(N') ~ t(N) * (N'/N)^2.
-    """
-    serial = [r for r in records if r.strategy == "serial" and math.isfinite(r.wall_time_s)]
-    if not serial:
-        return None
-    biggest = max(serial, key=lambda r: r.n_steps)
-    return biggest.wall_time_s * (n_target / biggest.n_steps) ** 2
 
 
 def write_csv(path: str, header, rows) -> None:

@@ -1,7 +1,8 @@
 """Command-line interface: ``solve``, ``bench`` and ``verify`` subcommands.
 
-All configuration is by flags, optionally seeded from a plain ``key=value``
-config file (``--config``); explicit flags win.  Exit codes: 0 success,
+All configuration is by flags; ``solve`` and ``bench`` may seed theirs from a
+plain ``key=value`` config file (``--config``), and explicit flags win.
+``verify`` takes only ``--output``.  Exit codes: 0 success,
 1 numerical/solver failure (failing step reported on stderr), 2 usage or
 configuration errors.
 """
@@ -17,7 +18,6 @@ from .bench import (
     IDLE_FIELDS,
     STRATEGIES,
     BenchRecord,
-    project_time,
     run_sweep,
     solve_strategy,
     write_csv,
@@ -46,7 +46,7 @@ _DEFAULTS = {
     "solve": dict(_PROBLEM, steps=None, strategy="serial", workers="2", chunk=CHUNK, output="trajectory.csv"),
     "bench": dict(
         _PROBLEM, steps="10000,20000", strategy=",".join(STRATEGIES), workers="2", chunk=CHUNK,
-        reps=3, output="bench.csv", idle_output=None, project=1_000_000,
+        reps=3, output="bench.csv", idle_output=None,
     ),
     "verify": dict(output="verify_report.csv"),
 }
@@ -58,7 +58,7 @@ def _settings(args: argparse.Namespace, config: dict) -> dict:
     ``hr_param`` is one NAME=VALUE in a config file and a list from flags;
     the flags replace the config's value rather than add to it.  A config
     key that no command has is refused; another command's key is ignored,
-    so one file can serve them all.
+    so solve and bench can share a file, though both read its ``output``.
     """
     unknown = sorted(set(config).difference(*_DEFAULTS.values()))
     if unknown:
@@ -188,13 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reps", type=int, help=f"timed repetitions per cell (default {_DEFAULTS['bench']['reps']})"
     )
     p_bench.add_argument("--idle-output", help="per-worker idle-count CSV (block strategy)")
-    p_bench.add_argument(
-        "--project", type=int, metavar="N",
-        help="also print the O(N^2) extrapolated serial time for this N",
-    )
 
     p_verify = sub.add_parser("verify", help="run the analytic verification suite")
-    p_verify.add_argument("--config", help="key=value config file; flags override it")
     p_verify.add_argument("--output", help="convergence report CSV path")
 
     return parser
@@ -235,10 +230,6 @@ def _cmd_bench(settings: dict) -> int:
         idle_path = settings["idle_output"] or (os.path.splitext(output)[0] + "_idle.csv")
         write_csv(idle_path, IDLE_FIELDS, map(dict.values, idle_rows))
         print(f"wrote idle counts to {idle_path}")
-    target = int(settings["project"])
-    proj = project_time(records, target)
-    if proj is not None:
-        print(f"projected serial time at N={target} (t ~ c*N^2): {proj:.1f}s")
     failed = [r for r in records if r.error]
     if failed:
         print(f"{len(failed)} cells failed numerically", file=sys.stderr)
@@ -271,7 +262,7 @@ _COMMANDS = {"solve": _cmd_solve, "bench": _cmd_bench, "verify": _cmd_verify}
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = {}
-    if args.config:
+    if getattr(args, "config", None):  # verify has no --config
         try:
             config = load_config_file(args.config)
         except (OSError, ValueError) as exc:

@@ -83,10 +83,8 @@ def test_criterion_2_analytic_convergence():
         exact = max_err <= 1e-13  # alpha=1 integrates t^2 exactly; order unobservable
         ok = (exact or report.observed_order >= bound) and terminal <= 1e-2
         all_ok &= ok
-        lines.append(
-            f"alpha={alpha:g}: order={report.observed_order:.2f}"
-            f"{' (roundoff-exact)' if exact else ''} terminal={terminal:.1e}"
-        )
+        order = "order not observable" if exact else f"order={report.observed_order:.2f}"
+        lines.append(f"alpha={alpha:g}: {order} terminal={terminal:.1e}")
     elapsed = time.perf_counter() - t0
     _report("criterion 2 (analytic convergence)", all_ok, "; ".join(lines) + f", {elapsed:.1f}s")
     assert all_ok

@@ -10,7 +10,6 @@ from fodeabm import FractionalProblem, SolverStepError, bench
 from fodeabm.bench import (
     IDLE_FIELDS,
     BenchRecord,
-    project_time,
     run_sweep,
     write_csv,
 )
@@ -32,8 +31,9 @@ class TestSweep:
             problem, strategies=("block",), n_list=(200,), workers_list=(2,), repetitions=1
         )
         assert [row["worker"] for row in idle_rows] == [0, 1]
-        # the forced helper owns block 0 and sends its partials from step 100
-        assert [(row["idle_steps"], row["messages_sent"]) for row in idle_rows] == [(0, 0), (100, 200)]
+        # the forced helper owns block 0, active from step 100: one predictor
+        # and one corrector partial a step, both in one ring slot
+        assert [(row["idle_steps"], row["partial_sums_sent"]) for row in idle_rows] == [(0, 0), (100, 200)]
 
     def test_unknown_strategy(self):
         # rejected before any solve, so not one rhs call is spent on it
@@ -109,6 +109,8 @@ class TestSweep:
 
         def fake_solve(problem, strategy, n_steps, workers, chunk, stats=None):
             calls.append((strategy, n_steps, workers))
+            # as the engines do, one idle count and one send count per worker
+            stats.update(idle_steps=[0] * workers, partial_sums_sent=[0] * workers)
             return SimpleNamespace(states=np.zeros(3))
 
         monkeypatch.setattr(bench, "solve_strategy", fake_solve)
@@ -160,11 +162,6 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="nondeterministic"):
             run_sweep(linear_problem(), strategies=("serial",), n_list=(100,), workers_list=(2,), repetitions=2)
 
-    def test_projection_follows_square_law(self):
-        records = [BenchRecord("serial", 1000, 1, None, 2.0, 3, 1.0)]
-        assert project_time(records, 2000) == pytest.approx(8.0)
-        assert project_time([], 1000) is None
-
 
 class TestCsv:
     def test_records_header_and_chunk_blank(self, tmp_path):
@@ -185,11 +182,11 @@ class TestCsv:
                 "workers": 2,
                 "worker": 1,
                 "idle_steps": 50,
-                "messages_sent": 100,
+                "partial_sums_sent": 100,
             }
         ]
         path = tmp_path / "idle.csv"
         write_csv(path, IDLE_FIELDS, map(dict.values, rows))
         lines = path.read_bytes().decode("utf-8").splitlines()
-        assert lines[0] == "strategy,n_steps,workers,worker,idle_steps,messages_sent"
+        assert lines[0] == "strategy,n_steps,workers,worker,idle_steps,partial_sums_sent"
         assert lines[1] == "block,100,2,1,50,100"

@@ -225,30 +225,43 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_other_commands_keys_are_accepted(self, tmp_path):
-        # one file serves solve and bench: solve ignores bench's keys
+        # solve ignores bench's keys
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nreps = 1\nproject = 4000\n")
+        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nreps = 1\n")
         out = tmp_path / "t.csv"
         assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
         assert out.exists()
 
-    def test_config_project_is_printed(self, tmp_path, capsys):
+    def test_project_key_is_unknown(self, tmp_path, capsys):
+        # the O(N^2) projection is gone, and so is its key
         cfg = tmp_path / "run.cfg"
         cfg.write_text("project = 4000\n")
+        out = tmp_path / "bench.csv"
         rc = run_cli(
             [
                 "bench", "--config", str(cfg),
                 "--system", "linear", "--alpha", "0.5", "--tmax", "1.0",
                 "--steps", "200", "--strategy", "serial", "--reps", "1",
-                "--output", str(tmp_path / "bench.csv"),
+                "--output", str(out),
             ]
         )
-        assert rc == 0
-        assert "projected serial time at N=4000 " in capsys.readouterr().out
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error: unknown config key 'project'")
+        assert not out.exists()
+
+    def test_verify_takes_no_config(self, tmp_path, monkeypatch, capsys):
+        # a shared file's output key cannot send the report over a trajectory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.cfg").write_text("output = trajectory.csv\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--config", "x.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
 
 
 class TestBench:
-    def test_sweep_writes_records_and_idle(self, tmp_path, capsys, force_helpers):
+    def test_sweep_writes_records_and_idle(self, tmp_path, force_helpers):
         out = tmp_path / "bench.csv"
         rc = run_cli(
             [
@@ -270,8 +283,6 @@ class TestBench:
         assert strategies == {"serial", "block"}
         idle = tmp_path / "bench_idle.csv"
         assert idle.exists()
-        assert "projected serial time" in capsys.readouterr().out
-
 
     @pytest.mark.parametrize(
         "output, idle", [("./bench", "bench_idle.csv"), ("results.d/bench", "results.d/bench_idle.csv")]
