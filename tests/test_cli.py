@@ -9,10 +9,19 @@ import pytest
 
 from fodeabm import bench, checks, cli
 from fodeabm.cli import main
+from fodeabm.parallel.reduction import CHUNK
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def exit_code(args):
+    """main's return code, or the code of the SystemExit that argparse raises."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSolve:
@@ -79,10 +88,13 @@ class TestSolve:
         assert rows[0] == ["t", "y0", "y1", "y2"]
         assert len(rows) == 258
 
-    def test_missing_required_flag_is_config_error(self, tmp_path, capsys):
-        rc = run_cli(["solve", "--system", "constant", "--tmax", "1", "--steps", "4"])
-        assert rc == 2
-        assert "alpha" in capsys.readouterr().err
+    def test_missing_required_flag_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run_cli(["solve", "--system", "constant", "--tmax", "1", "--steps", "4"])
+        assert e.value.code == 2
+        assert "the following arguments are required: --alpha" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numerical_failure_exit_code_and_step(self, tmp_path, capsys):
@@ -147,116 +159,87 @@ class TestSolve:
         assert not out.exists()
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "system = constant\nalpha = 0.5\ntmax = 1.0\nsteps = 8\n"
-            "value = 0\ny0 = 2  # initial state\n"
-        )
-        out = tmp_path / "t.csv"
-        rc = run_cli(["solve", "--config", str(cfg), "--output", str(out)])
-        assert rc == 0
-        rows = list(csv.reader(out.open()))
-        assert rows[1][1] == "2"
+_HR = ["--system", "hindmarsh-rose", "--alpha", "0.9", "--tmax", "1.0", "--steps", "16"]
 
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = constant\nalpha = 0.5\ntmax = 1.0\nsteps = 8\ny0 = 2\n")
+
+class TestArgsFile:
+    # @FILE is argparse's: one argument per line, read in the place of @FILE
+    def test_file_supplies_flags(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--system=constant\n--alpha=0.5\n--tmax\n1.0\n--steps=8\n--value=0\n--y0=2\n")
         out = tmp_path / "t.csv"
-        rc = run_cli(["solve", "--config", str(cfg), "--y0", "5", "--output", str(out)])
-        assert rc == 0
+        assert run_cli(["solve", f"@{args}", "--output", str(out)]) == 0
+        rows = list(csv.reader(out.open()))
+        assert len(rows) == 10 and rows[1][1] == "2"
+
+    def test_later_flag_overrides_file(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--system=constant\n--alpha=0.5\n--tmax=1.0\n--steps=8\n--y0=2\n")
+        out = tmp_path / "t.csv"
+        assert run_cli(["solve", f"@{args}", "--y0", "5", "--output", str(out)]) == 0
         rows = list(csv.reader(out.open()))
         assert rows[1][1] == "5"
 
-    def test_malformed_config_is_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("not a key value line\n")
-        rc = run_cli(["solve", "--config", str(cfg)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
-        # a file that cannot be read is reported the same way
-        rc = run_cli(["solve", "--config", str(tmp_path / "missing.cfg")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
-
-    @pytest.mark.parametrize("line", ["alpha = abc", "steps = 1.5", "hr_param = r"])
-    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
-        # a value that cannot be read is a configuration error, not a usage error
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = hindmarsh-rose\nalpha = 0.9\ntmax = 1.0\nsteps = 8\n" + line + "\n")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("--wrokers=3", "unrecognized arguments: --wrokers=3"),
+            ("--reps=1", "unrecognized arguments: --reps=1"),
+            ("--y0 5", "unrecognized arguments: --y0 5"),
+            ("--alpha=abc", "argument --alpha: invalid float value: 'abc'"),
+            ("--steps=1.5", "argument --steps: invalid int value: '1.5'"),
+            ("--hr-param=r", "configuration error: --hr-param expects NAME=VALUE, got 'r'"),
+        ],
+        ids=["mistyped-flag", "bench-flag", "two-per-line", "alpha-abc", "steps-1.5", "hr-param-r"],
+    )
+    def test_bad_line_exits_two(self, tmp_path, capsys, line, message):
+        # a mistyped flag, another command's flag, a line holding two
+        # arguments or a value that cannot be read is refused, nothing written
+        args = tmp_path / "run.args"
+        args.write_text("\n".join(_HR + [line]) + "\n")
         out = tmp_path / "t.csv"
-        rc = run_cli(["solve", "--config", str(cfg), "--output", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("configuration error")
+        assert exit_code(["solve", f"@{args}", "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_hr_param_flags_replace_config(self, tmp_path):
-        # the config's one NAME=VALUE is used alone, and replaced (not
-        # extended) by --hr-param flags
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = hindmarsh-rose\nalpha = 0.9\ntmax = 1.0\nsteps = 16\nhr_param = i_ext=0.0\n")
-        flags = ["--system", "hindmarsh-rose", "--alpha", "0.9", "--tmax", "1.0", "--steps", "16"]
+    def test_missing_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(["solve", "@missing.args"]) == 2
+        assert "No such file or directory: 'missing.args'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_hr_param_file_and_flags_combine(self, tmp_path):
+        # --hr-param values from the file and from flags add up; for one
+        # NAME the last value wins
+        args = tmp_path / "run.args"
+        args.write_text("\n".join(_HR + ["--hr-param=i_ext=0.0"]) + "\n")
         runs = {
-            "config": ["--config", str(cfg)],
-            "config+flag": ["--config", str(cfg), "--hr-param", "r=0.01"],
-            "flag i_ext": flags + ["--hr-param", "i_ext=0.0"],
-            "flag r": flags + ["--hr-param", "r=0.01"],
-            "none": flags,
+            "file": [f"@{args}"],
+            "file+flag r": [f"@{args}", "--hr-param", "r=0.01"],
+            "file+flag i_ext": [f"@{args}", "--hr-param", "i_ext=3.25"],
+            "flags i_ext r": _HR + ["--hr-param", "i_ext=0.0", "--hr-param", "r=0.01"],
+            "flag i_ext": _HR + ["--hr-param", "i_ext=0.0"],
+            "flag r": _HR + ["--hr-param", "r=0.01"],
+            "none": _HR,
         }
         text = {}
-        for name, args in runs.items():
+        for name, argv in runs.items():
             out = tmp_path / "t.csv"
-            assert run_cli(["solve", *args, "--output", str(out)]) == 0
+            assert run_cli(["solve", *argv, "--output", str(out)]) == 0
             text[name] = out.read_bytes()
-        assert text["config"] == text["flag i_ext"] != text["none"]
-        assert text["config+flag"] == text["flag r"] != text["none"]
-        assert text["flag r"] != text["flag i_ext"]
+        assert text["file"] == text["flag i_ext"] != text["none"]
+        assert text["file+flag r"] == text["flags i_ext r"]
+        assert text["flags i_ext r"] not in (text["flag i_ext"], text["flag r"], text["none"])
+        assert text["file+flag i_ext"] == text["none"]
 
-    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
-        # a mistyped key is refused, not dropped with its value
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nchunk_size = 8\nwrokers = 3\n")
-        out = tmp_path / "t.csv"
-        rc = run_cli(["solve", "--config", str(cfg), "--output", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "'chunk_size'" in err and "'wrokers'" in err
-        assert not out.exists()
-
-    def test_other_commands_keys_are_accepted(self, tmp_path):
-        # solve ignores bench's keys
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("system = linear\nalpha = 0.5\ntmax = 1.0\nsteps = 8\nreps = 1\n")
-        out = tmp_path / "t.csv"
-        assert run_cli(["solve", "--config", str(cfg), "--output", str(out)]) == 0
-        assert out.exists()
-
-    def test_project_key_is_unknown(self, tmp_path, capsys):
-        # the O(N^2) projection is gone, and so is its key
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("project = 4000\n")
-        out = tmp_path / "bench.csv"
-        rc = run_cli(
-            [
-                "bench", "--config", str(cfg),
-                "--system", "linear", "--alpha", "0.5", "--tmax", "1.0",
-                "--steps", "200", "--strategy", "serial", "--reps", "1",
-                "--output", str(out),
-            ]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("configuration error: unknown config key 'project'")
-        assert not out.exists()
-
-    def test_verify_takes_no_config(self, tmp_path, monkeypatch, capsys):
-        # a shared file's output key cannot send the report over a trajectory
+    def test_no_command_takes_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "x.cfg").write_text("output = trajectory.csv\n")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["verify", "--config", "x.cfg"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        for command in (["solve", *_HR], ["bench", *_HR], ["verify"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*command, "--config", "x.cfg"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
 
 
@@ -296,15 +279,36 @@ class TestBench:
         written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
         assert written == sorted([os.path.normpath(output), idle])
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_failed_cell_is_recorded_and_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        rc = run_cli(
+            [
+                "bench",
+                "--system", "linear",
+                "--alpha", "1",
+                "--lam", "1e4",
+                "--tmax", "100",
+                "--steps", "100",
+                "--strategy", "serial",
+                "--reps", "1",
+                "--output", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "1 cells failed numerically" in capsys.readouterr().err
+        rows = list(csv.DictReader(out.open()))
+        assert [row["strategy"] for row in rows] == ["serial"]
+        assert "step" in rows[0]["error"]
 
-def test_help_renders_defaults_from_table(monkeypatch, capsys):
-    for key, value in (("chunk", 77), ("beta", 2.5), ("lam", -0.25), ("reps", 9)):
-        monkeypatch.setitem(cli._DEFAULTS["bench"], key, value)
-    with pytest.raises(SystemExit):
+
+def test_help_renders_defaults(capsys):
+    with pytest.raises(SystemExit) as e:
         run_cli(["bench", "--help"])
+    assert e.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    for help_text in ("chunk width (default 77)", "exponent (default 2.5)", "coefficient (default -0.25)",
-                      "per cell (default 9)"):
+    for help_text in (f"chunk width (default {CHUNK})", "exponent (default 2)", "coefficient (default -1)",
+                      "per cell (default 3)"):
         assert help_text in text
 
 
@@ -318,13 +322,16 @@ _LINEAR = ["--system", "linear", "--alpha", "0.5", "--tmax", "1", "--steps", "8"
         (["solve", *_LINEAR], "--output", "."),
         (["bench", *_LINEAR], "--output", "missing/out.csv"),
         (["bench", *_LINEAR, "--output", "bench.csv"], "--idle-output", "missing/out.csv"),
+        (["bench", *_LINEAR, "--output", "bench.csv"], "--idle-output", "./bench.csv"),
         (["verify"], "--output", "missing/out.csv"),
     ],
-    ids=["solve-output", "solve-output-directory", "bench-output", "bench-idle-output", "verify-output"],
+    ids=["solve-output", "solve-output-directory", "bench-output", "bench-idle-output",
+         "bench-idle-output-is-output", "verify-output"],
 )
 def test_unwritable_output_refused_before_solving(tmp_path, capsys, monkeypatch, args, flag, target):
-    # an output whose directory is missing, or that is a directory, is
-    # refused before any solve, not after it
+    # an output whose directory is missing, that is a directory, or an idle
+    # CSV that would write over the bench records is refused before any
+    # solve, not after it
     monkeypatch.chdir(tmp_path)
     calls = []
     for module, name in ((bench, "solve_strategy"), (cli, "solve_strategy"),
@@ -337,11 +344,19 @@ def test_unwritable_output_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("value", ["", "2,4"], ids=["empty", "list"])
+def test_solve_workers_is_one_count(tmp_path, capsys, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as e:
+        run_cli(["solve", *_LINEAR, "--output", str(out), "--workers", value])
+    assert e.value.code == 2
+    assert f"argument --workers: invalid int value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        ("solve", "--workers", ""),
-        ("solve", "--workers", "2,4"),
         ("bench", "--steps", ""),
         ("bench", "--workers", ""),
         ("bench", "--strategy", ","),
@@ -352,15 +367,13 @@ def test_unwritable_output_refused_before_solving(tmp_path, capsys, monkeypatch,
         ("bench", "--strategy", "block,block"),
     ],
     ids=[
-        "solve-workers-empty", "solve-workers-list", "bench-steps-empty", "bench-workers-empty",
-        "bench-strategy-empty", "bench-workers-zero", "bench-workers-repeated", "bench-steps-repeated",
-        "bench-chunk-zero", "bench-strategy-repeated",
+        "bench-steps-empty", "bench-workers-empty", "bench-strategy-empty", "bench-workers-zero",
+        "bench-workers-repeated", "bench-steps-repeated", "bench-chunk-zero", "bench-strategy-repeated",
     ],
 )
 def test_list_flag_is_config_error(tmp_path, capsys, command, flag, value):
-    # an empty list, a list where solve takes one count, a repeated value
-    # or a bench cell the engines refuse is refused before anything is
-    # solved or written
+    # an empty list, a repeated value or a bench cell the engines refuse
+    # is refused before anything is solved or written
     out = tmp_path / "out.csv"
     args = [command, "--system", "linear", "--alpha", "0.5", "--tmax", "1.0", "--output", str(out)]
     if flag != "--steps":
