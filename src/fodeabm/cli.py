@@ -16,6 +16,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .bench import (
     IDLE_FIELDS,
     STRATEGIES,
@@ -40,19 +42,18 @@ from .systems import (
 __all__ = ["main", "build_problem"]
 
 
+def _idle_path(output: str) -> str:  # bench's idle CSV: _idle.csv in place of the extension
+    return os.path.splitext(output)[0] + "_idle.csv"
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse, before any solve, an output path whose directory cannot take it,
-    and an idle CSV that would write over the bench records."""
-    paths = {"--output": args.output, "--idle-output": getattr(args, "idle_output", None)}
-    for flag, path in paths.items():
-        if path is None:
-            continue
-        directory = os.path.dirname(path) or "."
-        if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-            raise ValueError(f"{flag} {path!r}: not a file in a writable directory")
-    idle = paths["--idle-output"]
-    if idle is not None and os.path.realpath(idle) == os.path.realpath(args.output):
-        raise ValueError(f"--idle-output {idle!r}: the same file as --output")
+    and a ``bench`` whose idle CSV, in the same directory, is a directory."""
+    path, directory = args.output, os.path.dirname(args.output) or "."
+    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ValueError(f"--output {path!r}: not a file in a writable directory")
+    if args.command == "bench" and os.path.isdir(_idle_path(path)):
+        raise ValueError(f"--output {path!r}: its idle CSV {_idle_path(path)!r} is a directory")
 
 
 def _parse_list(text: str, flag: str, cast=int) -> tuple:
@@ -130,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strategy", default=",".join(STRATEGIES), help="comma list of strategies")
     p_bench.add_argument("--workers", default="2", help="comma list of worker counts")
     p_bench.add_argument("--reps", type=int, default=3, help="timed repetitions per cell (default %(default)s)")
-    p_bench.add_argument("--output", default="bench.csv", help="output CSV path")
-    p_bench.add_argument("--idle-output", help="per-worker idle-count CSV (block strategy)")
+    p_bench.add_argument("--output", default="bench.csv", help="output CSV path (idle counts: <stem>_idle.csv)")
 
     p_verify = sub.add_parser("verify", help="run the analytic verification suite")
     p_verify.add_argument("--output", default="verify_report.csv", help="convergence report CSV path")
@@ -165,7 +165,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_csv(output, header, map(dataclasses.astuple, records))
     print(f"wrote {len(records)} records to {output}")
     if idle_rows:
-        idle_path = args.idle_output or (os.path.splitext(output)[0] + "_idle.csv")
+        idle_path = _idle_path(output)
         write_csv(idle_path, IDLE_FIELDS, map(dict.values, idle_rows))
         print(f"wrote idle counts to {idle_path}")
     failed = [r for r in records if r.error]
@@ -202,7 +202,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_outputs(args)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is a step error
+            return _COMMANDS[args.command](args)
     except SolverStepError as exc:
         print(f"numerical failure at step {exc.step}: {exc}", file=sys.stderr)
         return 1

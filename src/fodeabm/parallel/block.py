@@ -9,18 +9,17 @@ with n, so total work stays O(N^2) by construction.
 
 That is the reduction engine at chunk = B: step n has m = n // B + 1 <= P
 chunks, so the coordinator keeps exactly the newest chunk (the owner's range)
-and helper w takes chunk w - 1, which is block w - 1.  A helper's idle steps
-are then the steps before its block, [0, blocks[w].lo), when the helpers
-are forked; below the reduction engine's helper floor none is, and the
-solve is the serial one.
+and helper w takes chunk w - 1, which is block w - 1; no ``PartitionPlan``
+is built.  A helper's idle steps are the steps before its block,
+[0, min(w*B, N)), when the helpers are forked; below the reduction engine's
+helper floor none is, and the solve is the serial one.
 """
 
 from __future__ import annotations
 
 from ..core import FractionalProblem, GridSpec
 from ..serial import Trajectory
-from .partition import make_partition
-from .reduction import solve_reduction_parallel
+from .reduction import check_config, solve_reduction_parallel
 
 __all__ = ["solve_block_parallel"]
 
@@ -36,9 +35,9 @@ def solve_block_parallel(
 
     With ``n_workers=1`` the result is bitwise identical to the serial
     solver.  ``stats``, when given, receives the reduction engine's
-    per-worker instrumentation (``idle_steps`` is ``blocks[w].lo`` when the
-    helpers are forked and N when they are not; worker 0 assembles every
-    step and sends nothing).
+    instrumentation: ``idle_steps`` as above (N when no helper is forked),
+    and worker 0 assembles every step and sends nothing.
     """
-    plan = make_partition(grid.n_steps, n_workers)
-    return solve_reduction_parallel(problem, grid, plan.n_workers, plan.block_size, stats=stats)
+    N, P = grid.n_steps, int(n_workers)
+    check_config(N, P, 1)
+    return solve_reduction_parallel(problem, grid, P, -(-N // P), stats=stats)

@@ -1,11 +1,10 @@
-"""Contiguous block partition of time steps across workers.
+"""The block layout as a model: contiguous blocks of time steps per worker.
 
 Worker p owns the step indices [p*B, (p+1)*B) clipped to [0, N), where
-B = ceil(N/P).  The coordinator assembles every step and sums the owner's
-range [lo, n] of step n itself; workers whose block lies below the owner
-contribute partial history sums; workers whose block lies above have
-nothing to do yet and sit idle.  That idleness is inherent to the block
-algorithm and is reported, not optimised away.
+B = ceil(N/P).  Below the owner of step n each block sends a partial sum;
+above it each worker sits idle, which is inherent to the block algorithm.
+The benchmark's work model and the acceptance suite read this layout; the
+solver builds none, as its engine's spans at chunk B are these blocks.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 import importlib.util
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -64,36 +63,25 @@ def test_verdict_ties_count_for_neither_side():
     assert ab_trees.verdict(OLD, new, "lower") == (0, "loss")
 
 
-@pytest.mark.parametrize("workload", ["hr-long", "short-many", "wide-linear"])
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_inputs_are_perfbench_inputs(workload, seed):
-    ours = ab_trees.inputs(fodeabm, workload, seed)
-    theirs = workloads.make_inputs(workload, seed)
+    # a tree loaded under another name builds perfbench's inputs from its own package
+    before = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "fodeabm"}
+    wl = ab_trees.load(ROOT, "fodeabm_under_test")
+    package = sys.modules["fodeabm_under_test"]
+    assert package is not fodeabm
+    # fodeabm and its submodules are bound as before the load
+    assert sys.modules["fodeabm"] is fodeabm
+    assert {k: m for k, m in sys.modules.items() if k.split(".")[0] == "fodeabm"} == before
+    # the tree's own classes, rhs factories and solvers
+    assert wl.SOLVERS["serial"] is package.solve_serial
+    ours, theirs = wl.make_inputs(workload, seed), workloads.make_inputs(workload, seed)
     assert len(ours) == len(theirs)
-    for (problem, grid), want in zip(ours, theirs):
-        got = (problem.alpha, problem.dim, problem.t_end, grid.n_steps)
-        assert got == (want.problem.alpha, want.problem.dim, want.problem.t_end, want.grid.n_steps)
-        assert grid == want.grid
-        assert problem.y0.tobytes() == want.problem.y0.tobytes()
-
-
-def test_strategies_use_perfbench_workers_and_chunk():
-    calls = []
-
-    def record(name):
-        return lambda *args, **kwargs: calls.append((name, args, kwargs))
-
-    lib = SimpleNamespace(
-        solve_serial=record("serial"),
-        solve_block_parallel=record("block"),
-        solve_reduction_parallel=record("reduction"),
-    )
-    for solve in ab_trees.strategies(lib).values():
-        solve("problem", "grid")
-    assert calls == [
-        ("serial", ("problem", "grid"), {}),
-        ("block", ("problem", "grid", workloads.WORKERS), {}),
-        ("reduction", ("problem", "grid", workloads.WORKERS, workloads.CHUNK), {}),
-    ]
-    assert list(ab_trees.strategies(lib)) == list(workloads.STRATEGIES)
-
+    for got, want in zip(ours, theirs):
+        assert type(got.problem) is package.FractionalProblem
+        assert got.problem.rhs.__module__ == "fodeabm_under_test.systems"
+        assert (got.problem.alpha, got.problem.dim, got.problem.t_end) == (
+            want.problem.alpha, want.problem.dim, want.problem.t_end)
+        assert (got.grid.n_steps, got.grid.h) == (want.grid.n_steps, want.grid.h)
+        assert got.problem.y0.tobytes() == want.problem.y0.tobytes()

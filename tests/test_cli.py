@@ -96,7 +96,6 @@ class TestSolve:
         assert "the following arguments are required: --alpha" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numerical_failure_exit_code_and_step(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         rc = run_cli(
@@ -279,7 +278,6 @@ class TestBench:
         written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
         assert written == sorted([os.path.normpath(output), idle])
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_failed_cell_is_recorded_and_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = run_cli(
@@ -321,18 +319,18 @@ _LINEAR = ["--system", "linear", "--alpha", "0.5", "--tmax", "1", "--steps", "8"
         (["solve", *_LINEAR], "--output", "missing/out.csv"),
         (["solve", *_LINEAR], "--output", "."),
         (["bench", *_LINEAR], "--output", "missing/out.csv"),
-        (["bench", *_LINEAR, "--output", "bench.csv"], "--idle-output", "missing/out.csv"),
-        (["bench", *_LINEAR, "--output", "bench.csv"], "--idle-output", "./bench.csv"),
+        (["bench", *_LINEAR, "--strategy", "serial,block"], "--output", "bench.csv"),
         (["verify"], "--output", "missing/out.csv"),
     ],
-    ids=["solve-output", "solve-output-directory", "bench-output", "bench-idle-output",
-         "bench-idle-output-is-output", "verify-output"],
+    ids=["solve-output", "solve-output-directory", "bench-output", "bench-idle-path-is-directory",
+         "verify-output"],
 )
 def test_unwritable_output_refused_before_solving(tmp_path, capsys, monkeypatch, args, flag, target):
-    # an output whose directory is missing, that is a directory, or an idle
-    # CSV that would write over the bench records is refused before any
-    # solve, not after it
+    # an output whose directory is missing or that is a directory, or a bench
+    # whose idle CSV beside it is a directory, is refused before any solve,
+    # not after it
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench_idle.csv").mkdir()
     calls = []
     for module, name in ((bench, "solve_strategy"), (cli, "solve_strategy"),
                          (checks, "run_verification_suite"), (cli, "run_verification_suite")):
@@ -407,6 +405,18 @@ class TestVerify:
 
 
 class TestConsoleEntry:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_diverging_solve_prints_no_numpy_warning(self, tmp_path, command):
+        # the step error reports the divergence (solve on stderr, bench in its
+        # FAILED line); numpy's overflow warning would only repeat it
+        args = [command, "--system", "linear", "--alpha", "1", "--lam", "1e4", "--tmax", "100",
+                "--steps", "100", "--strategy", "serial", "--output", str(tmp_path / "out.csv")]
+        args += ["--reps", "1"] if command == "bench" else []
+        proc = subprocess.run([sys.executable, "-m", "fodeabm.cli", *args], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "step" in proc.stdout + proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "t.csv"
         proc = subprocess.run(

@@ -154,9 +154,10 @@ class TestBlockStrategy:
         b = solve_block_parallel(problem, grid, 3)
         assert np.array_equal(a.states, b.states)
 
-    def test_instrumentation_counters(self):
+    # (1001, 3) ends on a short block, (7, 7) has blocks of one step
+    @pytest.mark.parametrize("n, workers", [(1000, 4), (1001, 3), (7, 7), (20, 2)])
+    def test_instrumentation_counters(self, n, workers):
         problem = linear_problem(0.5, -1.0)
-        n, workers = 1000, 4
         stats = {}
         solve_block_parallel(problem, problem.grid(n), workers, stats=stats)
         plan = make_partition(n, workers)
@@ -181,8 +182,9 @@ class TestBlockStrategy:
 
     def test_worker_bounds(self):
         problem = constant_problem()
-        with pytest.raises(ValueError):
-            solve_block_parallel(problem, problem.grid(4), 5)
+        for workers in (0, 5):
+            with pytest.raises(ValueError, match=rf"n_workers must lie in \[1, 4\], got {workers}"):
+                solve_block_parallel(problem, problem.grid(4), workers)
 
 
 class TestReductionStrategy:

@@ -8,6 +8,12 @@ run in one interpreter and share its memory layout, its CPUs and the host's
 load.  Pairs of runs taken in separate processes carry per-process effects
 that can exceed the gap being measured; pairs taken here do not.
 
+The workloads, their inputs and the three solvers are perfbench's own: this
+repository's ``perfbench/workloads.py`` is imported once per tree, with that
+tree's package bound to the name ``fodeabm`` while it runs, so each tree
+solves the same inputs, built from its own classes, with perfbench's worker
+count and chunk width.
+
 After one untimed round, each round solves the workload's inputs with every
 strategy once per tree, serial -> block -> reduction, and alternates which
 tree goes first.  A round's time for a (tree, strategy) is its mean time per
@@ -17,10 +23,6 @@ largest deviation of NEW's states from OLD's, scaled by the largest |state|
 (0 means bitwise equal).  With ``--json PATH`` it also writes those
 figures to PATH under the workload's name, keeping the other workloads
 already in the file, so one file can collect all three.
-
-The workloads are those of ``perfbench`` (two workers, chunk 1024):
-hr-long (Hindmarsh-Rose, alpha 0.9, N=2e4), short-many (eight power-law
-solves, N=2000) and wide-linear (d=64 linear system, N=5000).
 
 With ``--rss`` the script compares peak memory instead, which two trees in
 one process cannot separate: each round runs each tree in a fresh child
@@ -56,49 +58,48 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def load(tree: Path, name: str):
-    """Import ``tree/src/fodeabm`` as the package ``name``."""
-    pkg = tree / "src" / "fodeabm"
-    spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+
+def _exec(name: str, path: Path, **where):
+    """Import the module at ``path`` as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path, **where)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
-def inputs(lib, workload: str, seed: int) -> list:
-    """(problem, grid) pairs of the workload, built with the package ``lib``."""
-    rng = np.random.default_rng(seed)
-    P = lib.FractionalProblem
-    if workload == "hr-long":
-        y0 = np.array([0.1, 0.2, 0.2]) + rng.uniform(-1e-3, 1e-3, 3)
-        problems, n = [P(0.9, 3, lib.rhs_hindmarsh_rose(), y0, 500.0)], 20000
-    elif workload == "short-many":
-        problems = [P(a, 1, lib.rhs_power_law(a, 2.0), [0.0], 1.0) for a in rng.uniform(0.3, 1.0, 8)]
-        n = 2000
-    else:
-        problems, n = [P(0.9, 64, lib.rhs_linear(-1.0), rng.uniform(0.5, 1.5, 64), 1.0)], 5000
-    return [(p, p.grid(n)) for p in problems]
+def _rebind(top: str, modules: dict) -> dict:
+    """Bind ``top`` and its submodules to ``modules``, keyed by the names after
+    ``top``; return what they were bound to, keyed the same way."""
+    old = {k[len(top):]: sys.modules.pop(k) for k in list(sys.modules) if k.split(".")[0] == top}
+    sys.modules.update({top + key: m for key, m in modules.items()})
+    return old
 
 
-def strategies(lib) -> dict:
-    return {
-        "serial": lib.solve_serial,
-        "block": lambda problem, grid: lib.solve_block_parallel(problem, grid, 2),
-        "reduction": lambda problem, grid: lib.solve_reduction_parallel(problem, grid, 2, 1024),
-    }
+def load(tree: Path, name: str):
+    """perfbench's workloads module, built on ``tree/src/fodeabm`` imported as ``name``.
+
+    The package and its submodules are ``fodeabm`` and ``fodeabm.*`` only
+    while the workloads module runs.
+    """
+    pkg = tree / "src" / "fodeabm"
+    _exec(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    package = {k[len(name):]: m for k, m in sys.modules.items() if k.split(".")[0] == name}
+    old = _rebind("fodeabm", package)
+    try:
+        return _exec(f"{name}_workloads", ROOT / "perfbench" / "workloads.py")
+    finally:
+        _rebind("fodeabm", old)
 
 
-def run(lib, name: str, cases: list) -> tuple[float, list]:
+def run(wl, name: str, cases: list) -> tuple[float, list]:
     """Mean seconds per solve of ``cases`` with strategy ``name``, and the states."""
-    solve = strategies(lib)[name]
+    solve = wl.SOLVERS[name]
     states = []
     t0 = time.perf_counter()
-    for problem, grid in cases:
-        states.append(solve(problem, grid).states)
+    for case in cases:
+        states.append(solve(case.problem, case.grid).states)
     return (time.perf_counter() - t0) / len(cases), states
 
 
@@ -108,12 +109,12 @@ RSS_REPEATS = 4  # solves of the inputs per strategy in an --rss child
 def peak_rss(tree: str | Path, workload: str, seed: int, names: list) -> tuple[float, float]:
     """Peak RSS in MiB of this process and its reaped helpers after the solves,
     and this process's CPU time over the wall time of the solves."""
-    lib = load(Path(tree), "fodeabm_tree")
-    cases = inputs(lib, workload, seed)
+    wl = load(Path(tree), "fodeabm_tree")
+    cases = wl.make_inputs(workload, seed)
     cpu, start = time.process_time(), time.perf_counter()
     for _ in range(RSS_REPEATS):
         for s in names:
-            run(lib, s, cases)
+            run(wl, s, cases)
     cpu_over_wall = (time.process_time() - cpu) / (time.perf_counter() - start)
     who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0, cpu_over_wall  # ru_maxrss is in KiB
@@ -208,14 +209,14 @@ def write_json(path: Path, workload: str, record: dict) -> None:
 
 
 def main() -> None:
+    perfbench = load(ROOT, "fodeabm_here")  # the choices of --workload and --strategy
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path, help="source tree A (holds src/fodeabm)")
     ap.add_argument("new", type=Path, help="source tree B")
-    ap.add_argument("--workload", choices=("hr-long", "short-many", "wide-linear"), default="short-many")
+    ap.add_argument("--workload", choices=tuple(perfbench.WORKLOADS), default="short-many")
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--strategy", nargs="+", choices=("serial", "block", "reduction"),
-                    default=["serial", "block", "reduction"])
+    ap.add_argument("--strategy", nargs="+", choices=perfbench.STRATEGIES, default=list(perfbench.STRATEGIES))
     ap.add_argument("--rss", action="store_true",
                     help="compare peak RSS, each tree in a fresh process per round")
     ap.add_argument("--bench", type=int, metavar="PAIRS",
@@ -236,15 +237,15 @@ def main() -> None:
         main_rss(args)
         return
 
-    libs = [load(args.old.resolve(), "fodeabm_old"), load(args.new.resolve(), "fodeabm_new")]
-    cases = [inputs(lib, args.workload, args.seed) for lib in libs]
+    wls = [load(args.old.resolve(), "fodeabm_old"), load(args.new.resolve(), "fodeabm_new")]
+    cases = [wl.make_inputs(args.workload, args.seed) for wl in wls]
     times = {(side, s): [] for side in (0, 1) for s in args.strategy}
     deviation = dict.fromkeys(args.strategy, 0.0)
     for r in range(args.rounds + 1):
         for s in args.strategy:
             out = {}
             for side in (r % 2, 1 - r % 2):
-                out[side] = run(libs[side], s, cases[side])
+                out[side] = run(wls[side], s, cases[side])
                 if r:  # round 0 warms up
                     times[side, s].append(out[side][0])
             for a, b in zip(out[0][1], out[1][1]):
